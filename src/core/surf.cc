@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "stats/grid_index.h"
 #include "stats/kd_tree.h"
@@ -48,19 +49,26 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
 Kde FitDataKde(const Dataset& data, const std::vector<size_t>& region_cols,
                size_t max_samples, uint64_t seed, CancelToken cancel) {
   if (cancel.cancelled()) return Kde();
-  Rng rng(seed);
-  std::vector<std::vector<double>> points;
-  points.reserve(data.num_rows());
-  std::vector<double> p(region_cols.size());
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    if ((r & 0xFFFF) == 0 && cancel.cancelled()) return Kde();
-    for (size_t j = 0; j < region_cols.size(); ++j) {
-      p[j] = data.Get(r, region_cols[j]);
-    }
-    points.push_back(p);
+  // The same draws as Kde::FitSampled over every row: a dataset within
+  // the cap is fitted whole in row order; a larger one shuffles the row
+  // indices and keeps the first `max_samples`. Only the kept rows are
+  // gathered from the columns.
+  std::vector<size_t> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  if (rows.size() > max_samples) {
+    Rng rng(seed);
+    rng.Shuffle(&rows);
+    rows.resize(max_samples);
   }
   if (cancel.cancelled()) return Kde();
-  return Kde::FitSampled(points, max_samples, &rng);
+  std::vector<std::vector<double>> points(
+      rows.size(), std::vector<double>(region_cols.size()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < region_cols.size(); ++j) {
+      points[i][j] = data.Get(rows[i], region_cols[j]);
+    }
+  }
+  return Kde::Fit(points);
 }
 
 StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,

@@ -110,8 +110,8 @@ std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
                                                const Statistic& statistic);
 
 /// Shard-aware overload: `shards` <= 1 defers to the single-evaluator
-/// form above (which, like every classic backend, keeps a raw pointer
-/// into `data` — the dataset must outlive the evaluator); >= 2 builds
+/// form above (the scan, k-d tree and R-tree keep a raw pointer into
+/// `data` — the dataset must outlive the evaluator); >= 2 builds
 /// a ShardedScanEvaluator over `shards` row-range shards
 /// range-partitioned on the statistic's first region column (`kind`
 /// then only describes what a single-shard request would have used —

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 
 #include "stats/sharded_evaluator.h"
 
@@ -40,7 +41,9 @@ RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
   // Labelling children: one span per 256-query batch (aligned with the
   // cancellation poll below) rather than per query, so the trace stays
   // bounded. On the sharded backend each batch span also carries the
-  // evaluator's prune/block/scan counter deltas for that batch.
+  // evaluator's prune/block/scan counter deltas for that batch. The
+  // counters belong to the evaluator, which the serving layer shares
+  // across requests, so concurrent work on it lands in the deltas too.
   const ShardedScanEvaluator* sharded =
       trace == nullptr
           ? nullptr
@@ -99,8 +102,7 @@ RegionWorkload GenerateWorkload(const RegionEvaluator& evaluator,
         scanned0 = sharded->shards_scanned();
       }
     }
-    const std::vector<Region> chunk(regions.begin() + start,
-                                    regions.begin() + start + count);
+    const std::span<const Region> chunk(regions.data() + start, count);
     const std::vector<double> labels = evaluator.EvaluateBatch(chunk, cancel);
     for (size_t k = 0; k < labels.size(); ++k) {
       if (params.drop_undefined && std::isnan(labels[k])) continue;

@@ -52,12 +52,12 @@ void ClusterEvaluator::MarkDegraded(const std::string& reason) const {
 double ClusterEvaluator::EvaluateImpl(const Region& region,
                                       const CancelToken& cancel) const {
   const std::vector<double> labels =
-      EvaluateBatchImpl(std::vector<Region>{region}, cancel);
+      EvaluateBatchImpl(std::span<const Region>(&region, 1), cancel);
   return labels.empty() ? kNaN : labels[0];
 }
 
 Status ClusterEvaluator::EvaluateGroup(
-    const std::vector<size_t>& shards, const std::vector<Region>& regions,
+    const std::vector<size_t>& shards, std::span<const Region> regions,
     size_t first_worker, const CancelToken& cancel,
     std::vector<std::vector<StatisticAccumulator>>* partials) const {
   ShardEvaluateRequest request;
@@ -69,7 +69,7 @@ Status ClusterEvaluator::EvaluateGroup(
   request.order_by = order_by_;
   request.columns = columns_;
   request.shards = shards;
-  request.queries = regions;
+  request.queries.assign(regions.begin(), regions.end());
   request.deadline_seconds = options_.rpc_timeout_seconds;
   const std::string body = WriteJson(ShardEvaluateRequestToJson(request));
 
@@ -147,7 +147,7 @@ Status ClusterEvaluator::EvaluateGroup(
 }
 
 std::vector<double> ClusterEvaluator::EvaluateBatchImpl(
-    const std::vector<Region>& regions, const CancelToken& cancel) const {
+    std::span<const Region> regions, const CancelToken& cancel) const {
   if (regions.empty() || cancel.cancelled()) return {};
 
   pool_->ProbeUnhealthy(cancel);

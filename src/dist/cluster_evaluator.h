@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,7 @@ class ClusterEvaluator : public RegionEvaluator {
   double EvaluateImpl(const Region& region,
                       const CancelToken& cancel) const override;
   std::vector<double> EvaluateBatchImpl(
-      const std::vector<Region>& regions,
+      std::span<const Region> regions,
       const CancelToken& cancel) const override;
 
  private:
@@ -109,7 +110,7 @@ class ClusterEvaluator : public RegionEvaluator {
   /// re-homing across healthy workers on retriable failure. Fills
   /// `partials[q][s]` (query-major, group shard order) on success.
   Status EvaluateGroup(const std::vector<size_t>& shards,
-                       const std::vector<Region>& regions,
+                       std::span<const Region> regions,
                        size_t first_worker, const CancelToken& cancel,
                        std::vector<std::vector<StatisticAccumulator>>*
                            partials) const;

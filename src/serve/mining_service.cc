@@ -127,10 +127,35 @@ StatusOr<SurrogateKey> MiningService::KeyFor(
   return key;
 }
 
+size_t MiningService::shared_evaluator_slots() const {
+  std::lock_guard<std::mutex> lock(evaluators_mu_);
+  return evaluators_.size();
+}
+
+std::shared_ptr<const RegionEvaluator> MiningService::SharedEvaluator(
+    const MineRequest& request, const NamedDataset& named) {
+  const EvaluatorKey key{named.fingerprint, request.backend,
+                         std::max<size_t>(request.shards, 1),
+                         FingerprintStatistic(request.statistic)};
+  std::lock_guard<std::mutex> lock(evaluators_mu_);
+  auto it = evaluators_.find(key);
+  if (it != evaluators_.end()) {
+    if (auto live = it->second.lock()) return live;
+  }
+  std::erase_if(evaluators_,
+                [](const auto& slot) { return slot.second.expired(); });
+  std::shared_ptr<const RegionEvaluator> built =
+      MakeEvaluator(request.backend, named.data.get(), request.statistic,
+                    request.shards);
+  evaluators_[key] = built;
+  return built;
+}
+
 StatusOr<TrainedSurrogate> MiningService::TrainEntry(
-    const MineRequest& request, const Dataset* data, CancelToken cancel,
+    const MineRequest& request, const NamedDataset& named, CancelToken cancel,
     TraceContext* trace) {
   SURF_FAILPOINT("serve.train");
+  const Dataset* data = named.data.get();
   std::shared_ptr<const RegionEvaluator> evaluator;
   if (request.cluster) {
     // Cluster mode swaps only the exact back-end: labelling and
@@ -142,13 +167,12 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     }
     dist::ClusterEvaluator::Options cluster_options;
     cluster_options.dataset = request.dataset;
-    cluster_options.fingerprint = dataset_fingerprint(request.dataset);
+    cluster_options.fingerprint = named.fingerprint;
     cluster_options.num_shards = request.shards >= 2 ? request.shards : 0;
     evaluator = std::make_shared<const dist::ClusterEvaluator>(
         cluster_pool_.get(), request.statistic, std::move(cluster_options));
   } else {
-    evaluator = MakeEvaluator(request.backend, data, request.statistic,
-                              request.shards);
+    evaluator = SharedEvaluator(request, named);
   }
   const Bounds domain = data->ComputeBounds(request.statistic.region_cols);
   const RegionWorkload workload =
@@ -197,9 +221,10 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
 StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
     const MineRequest& request, CancelToken cancel, bool* was_hit,
     TraceContext* trace) {
+  auto named = ResolveRequest(request);
+  if (!named.ok()) return named.status();
   auto key = KeyFor(request);
   if (!key.ok()) return key.status();
-  const Dataset* data = dataset(request.dataset);
   return cache_.GetOrTrain(
       *key,
       [&]() -> StatusOr<TrainedSurrogate> {
@@ -211,7 +236,7 @@ StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
         const Status status = RunWithRetry(
             options_.training_retry,
             [&] {
-              trained = TrainEntry(request, data, cancel, trace);
+              trained = TrainEntry(request, **named, cancel, trace);
               return trained.status();
             },
             cancel);

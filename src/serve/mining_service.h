@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/finder.h"
@@ -244,6 +245,9 @@ class MiningService {
   size_t num_threads() const { return pool_.num_threads(); }
   /// Completed traces of recent traced requests (backs `/v1/trace/{id}`).
   const TraceRing& traces() const { return traces_; }
+  /// Slots in the shared in-process evaluator map, live or expired
+  /// (expired ones are pruned whenever a new evaluator is built).
+  size_t shared_evaluator_slots() const;
 
  private:
   /// A registered dataset plus its content fingerprint, computed once at
@@ -258,12 +262,20 @@ class MiningService {
   StatusOr<const NamedDataset*> ResolveRequest(
       const MineRequest& request) const;
 
+  /// The in-process exact back-end for `request`. Cache entries over the
+  /// same (dataset, backend, shards, statistic) share one instance — the
+  /// workload seed and model recipe do not change it — so a dataset
+  /// holds one grid per statistic, not one per entry. The map keeps
+  /// weak references: the evaluator dies with the last entry using it.
+  std::shared_ptr<const RegionEvaluator> SharedEvaluator(
+      const MineRequest& request, const NamedDataset& named);
+
   /// Trains a cache entry for `request` (runs on a miss, outside the
   /// cache lock). `cancel` threads through workload labelling, KDE
   /// fitting, and GBRT boosting rounds; `trace` (nullable) records
   /// workload_gen/labelling/training spans.
   StatusOr<TrainedSurrogate> TrainEntry(const MineRequest& request,
-                                        const Dataset* data,
+                                        const NamedDataset& named,
                                         CancelToken cancel,
                                         TraceContext* trace);
 
@@ -309,6 +321,13 @@ class MiningService {
   /// abandoned jobs. Expired entries are pruned on each Submit.
   mutable std::mutex jobs_mu_;
   std::vector<std::weak_ptr<MineJob>> live_jobs_;
+
+  /// (dataset fingerprint, backend, shards, statistic fingerprint).
+  using EvaluatorKey = std::tuple<uint64_t, BackendKind, size_t, uint64_t>;
+  /// Guards evaluators_; held while an evaluator is built, so
+  /// concurrent misses on one key build it once.
+  mutable std::mutex evaluators_mu_;
+  std::map<EvaluatorKey, std::weak_ptr<const RegionEvaluator>> evaluators_;
 
   mutable std::mutex datasets_mu_;
   /// std::map keeps entry addresses stable across inserts and names

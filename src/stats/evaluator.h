@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -46,7 +47,7 @@ class RegionEvaluator {
   /// default implementation loops Evaluate; backends that amortize
   /// per-call overhead across a batch (the distributed scatter-gather
   /// evaluator ships one RPC per batch) override EvaluateBatchImpl.
-  std::vector<double> EvaluateBatch(const std::vector<Region>& regions,
+  std::vector<double> EvaluateBatch(std::span<const Region> regions,
                                     const CancelToken& cancel) const {
     std::vector<double> labels = EvaluateBatchImpl(regions, cancel);
     evaluations_.fetch_add(labels.size(), std::memory_order_relaxed);
@@ -73,7 +74,7 @@ class RegionEvaluator {
   /// contract as the scalar path: poll before each region, drop the
   /// in-flight label if the token fired during it.
   virtual std::vector<double> EvaluateBatchImpl(
-      const std::vector<Region>& regions, const CancelToken& cancel) const {
+      std::span<const Region> regions, const CancelToken& cancel) const {
     std::vector<double> labels;
     labels.reserve(regions.size());
     for (const Region& region : regions) {

@@ -384,6 +384,28 @@ TEST(SurfTest, KdeCanBeDisabled) {
   EXPECT_FALSE(result.regions.empty());
 }
 
+/// FitDataKde gathers only the sampled rows, yet must draw exactly the
+/// sample (and hence the bandwidths) Kde::FitSampled draws from every
+/// row, above and below the sample cap.
+TEST(SurfTest, FitDataKdeMatchesFitSampledOverAllRows) {
+  const SyntheticDataset ds = DensityData(3, 2, 15);
+  const std::vector<size_t> cols = {2, 0};
+  for (size_t cap : {size_t{500}, ds.data.num_rows()}) {
+    std::vector<std::vector<double>> points;
+    for (size_t r = 0; r < ds.data.num_rows(); ++r) {
+      points.push_back({ds.data.Get(r, 2), ds.data.Get(r, 0)});
+    }
+    Rng rng(77);
+    const Kde expected = Kde::FitSampled(points, cap, &rng);
+    const Kde actual = FitDataKde(ds.data, cols, cap, 77);
+    ASSERT_EQ(actual.num_samples(), expected.num_samples());
+    for (size_t i = 0; i < actual.num_samples(); ++i) {
+      ASSERT_EQ(actual.SamplePoint(i), expected.SamplePoint(i)) << i;
+    }
+    EXPECT_EQ(actual.bandwidths(), expected.bandwidths());
+  }
+}
+
 TEST(SurfTest, AggregateStatisticEndToEnd) {
   SyntheticSpec spec;
   spec.dims = 1;

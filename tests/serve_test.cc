@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -222,6 +224,140 @@ TEST_F(ServiceTest, LruEvictionUnderCapacity) {
   // is a miss. The newest (seed 105) is still resident: a hit.
   EXPECT_TRUE(service().Mine(requests[5]).cache_hit);
   EXPECT_FALSE(service().Mine(requests[0]).cache_hit);
+}
+
+// ------------------------------------------------- Shared exact back-end
+
+/// The exact back-end a resident cache entry validates with.
+const RegionEvaluator* EntryEvaluator(MiningService& service,
+                                      const MineRequest& request) {
+  auto key = service.KeyFor(request);
+  if (!key.ok()) return nullptr;
+  auto entry = service.cache().Peek(*key);
+  return entry == nullptr ? nullptr : entry->Snapshot().evaluator.get();
+}
+
+TEST_F(ServiceTest, ColdRequestsShareOneEvaluatorAcrossWorkloadSeeds) {
+  MineRequest first = SmallRequest("d", 500.0);
+  first.workload.seed = 1;
+  MineRequest second = first;
+  second.workload.seed = 2;
+  ASSERT_FALSE(service().Mine(first).cache_hit);
+  ASSERT_FALSE(service().Mine(second).cache_hit);
+  ASSERT_EQ(service().cache().size(), 2u);
+  const RegionEvaluator* shared = EntryEvaluator(service(), first);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(EntryEvaluator(service(), second), shared);
+  EXPECT_EQ(service().shared_evaluator_slots(), 1u);
+}
+
+TEST_F(ServiceTest, StatisticOrShardCountGetsItsOwnEvaluator) {
+  const MineRequest base = SmallRequest("d", 500.0);
+  MineRequest swapped = base;
+  swapped.statistic = Statistic::Count({1, 0});
+  MineRequest sharded = base;
+  sharded.shards = 2;
+  for (const MineRequest& request : {base, swapped, sharded}) {
+    ASSERT_TRUE(service().Mine(request).status.ok());
+  }
+  const RegionEvaluator* a = EntryEvaluator(service(), base);
+  const RegionEvaluator* b = EntryEvaluator(service(), swapped);
+  // Shards are execution policy, not part of the cache key: the sharded
+  // request hit the base entry and so did not build a back-end.
+  EXPECT_EQ(EntryEvaluator(service(), sharded), a);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(service().shared_evaluator_slots(), 2u);
+
+  // A sharded request that trains builds its own back-end.
+  sharded.workload.seed = 77;
+  ASSERT_FALSE(service().Mine(sharded).cache_hit);
+  const RegionEvaluator* c = EntryEvaluator(service(), sharded);
+  ASSERT_NE(c, nullptr);
+  EXPECT_NE(c, a);
+  EXPECT_NE(c, b);
+  EXPECT_EQ(service().shared_evaluator_slots(), 3u);
+}
+
+TEST_F(ServiceTest, SharedEvaluatorDiesWithItsLastEntry) {
+  // Two entries over the Count({0, 1}) back-end.
+  MineRequest first = SmallRequest("d", 500.0);
+  first.workload.seed = 1;
+  MineRequest second = first;
+  second.workload.seed = 2;
+  ASSERT_TRUE(service().Mine(first).status.ok());
+  ASSERT_TRUE(service().Mine(second).status.ok());
+  std::weak_ptr<const RegionEvaluator> watched =
+      service().cache().Peek(*service().KeyFor(first))->Snapshot().evaluator;
+
+  // Four entries over another statistic push both out of the capacity-4
+  // cache, one at a time.
+  MineRequest other = SmallRequest("d", 500.0);
+  other.statistic = Statistic::Count({1, 0});
+  for (uint64_t seed = 10; seed < 14; ++seed) {
+    other.workload.seed = seed;
+    ASSERT_TRUE(service().Mine(other).status.ok());
+    if (seed == 12) {
+      // One Count({0, 1}) entry evicted, one still resident.
+      EXPECT_FALSE(watched.expired());
+    }
+  }
+  EXPECT_EQ(service().cache().stats().evictions, 2u);
+  EXPECT_TRUE(watched.expired());
+  EXPECT_EQ(service().shared_evaluator_slots(), 2u);  // one slot expired
+
+  // The next back-end build prunes the expired slot.
+  MineRequest third = SmallRequest("d", 500.0);
+  third.statistic = Statistic::Count({0});
+  ASSERT_TRUE(service().Mine(third).status.ok());
+  EXPECT_EQ(service().shared_evaluator_slots(), 2u);
+}
+
+TEST_F(ServiceTest, ThreadsLabellingThroughTheSharedGridMatchSequential) {
+  const MineRequest request = SmallRequest("d", 500.0);
+  ASSERT_TRUE(service().Mine(request).status.ok());
+  const std::shared_ptr<const RegionEvaluator> grid =
+      service().cache().Peek(*service().KeyFor(request))->Snapshot().evaluator;
+  ASSERT_NE(grid, nullptr);
+
+  const Bounds domain = data_.data.ComputeBounds({0, 1});
+  Rng rng(5);
+  std::vector<Region> regions;
+  for (int q = 0; q < 2000; ++q) {
+    std::vector<double> center(2), half(2);
+    for (size_t j = 0; j < 2; ++j) {
+      center[j] = rng.Uniform(domain.lo(j), domain.hi(j));
+      half[j] = rng.Uniform(0.01, 0.4) * domain.Extent(j);
+    }
+    regions.emplace_back(center, half);
+  }
+  const std::vector<double> expected =
+      grid->EvaluateBatch(regions, CancelToken());
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> labels(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Odd threads go through the batch seam, even ones per region.
+      if (t % 2 == 1) {
+        labels[t] = grid->EvaluateBatch(regions, CancelToken());
+        return;
+      }
+      for (const Region& region : regions) {
+        labels[t].push_back(grid->Evaluate(region));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(labels[t].size(), expected.size());
+    EXPECT_EQ(std::memcmp(labels[t].data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0)
+        << "thread " << t;
+  }
 }
 
 TEST(StaleCacheTest, StaleEntriesRetrain) {

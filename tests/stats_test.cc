@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
+#include "accel/accel.h"
 #include "data/dataset.h"
 #include "stats/ecdf.h"
 #include "stats/evaluator.h"
@@ -270,6 +272,117 @@ TEST(GridIndexTest, HighDimensionCellCap) {
   ScanEvaluator ref(&ds, stat);
   const Region probe({0.5, 0.5, 0.5, 0.5, 0.5}, {0.3, 0.3, 0.3, 0.3, 0.3});
   EXPECT_DOUBLE_EQ(eval.Evaluate(probe), ref.Evaluate(probe));
+}
+
+/// Edge dataset over three box columns: a0 and a2 on a 1/16 lattice (so
+/// rows sit exactly on cell boundaries at every tested resolution) and
+/// a1 constant (a zero-extent column), plus value and label columns.
+Dataset MakeLatticeData(size_t n, uint64_t seed) {
+  Dataset ds({"a0", "a1", "a2", "v", "label"});
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    ds.AddRow({static_cast<double>((i * 7) % 17) / 16.0, 0.5,
+               static_cast<double>((i * 5 + 3) % 17) / 16.0,
+               rng.Gaussian(1.0, 2.0), rng.Bernoulli(0.3) ? 1.0 : 0.0});
+  }
+  return ds;
+}
+
+/// FNV-1a over the bit patterns of every label `eval` gives `regions`.
+void HashLabels(const RegionEvaluator& eval,
+                const std::vector<Region>& regions, uint64_t* hash) {
+  for (const Region& region : regions) {
+    uint64_t bits;
+    const double y = eval.Evaluate(region);
+    std::memcpy(&bits, &y, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      *hash ^= (bits >> (8 * b)) & 0xFF;
+      *hash *= 0x100000001b3ull;
+    }
+  }
+}
+
+/// Random boxes over [0,1]^d plus the edge boxes: disjoint from the
+/// data, straddling the domain's lower corner, covering the domain, and
+/// a lo == hi box on the given data row.
+std::vector<Region> GoldenRegions(const Dataset& ds, size_t d, size_t random,
+                                  uint64_t seed) {
+  std::vector<Region> regions;
+  Rng rng(seed);
+  for (size_t q = 0; q < random; ++q) {
+    std::vector<double> center(d), half(d);
+    for (size_t j = 0; j < d; ++j) {
+      center[j] = rng.Uniform();
+      half[j] = rng.Uniform(0.01, 0.3);
+    }
+    regions.emplace_back(center, half);
+  }
+  // Boxes whose faces lie exactly on the 1/16 lattice (a/16 .. b/16).
+  for (size_t q = 0; q < 8; ++q) {
+    std::vector<double> center(d), half(d);
+    for (size_t j = 0; j < d; ++j) {
+      const auto a = static_cast<double>(rng.UniformInt(16));
+      const double b = a + 1.0 + static_cast<double>(rng.UniformInt(16));
+      center[j] = (a + b) / 32.0;
+      half[j] = (b - a) / 32.0;
+    }
+    regions.emplace_back(center, half);
+  }
+  std::vector<double> row(d);
+  for (size_t j = 0; j < d; ++j) row[j] = ds.Get(ds.num_rows() / 2, j);
+  regions.emplace_back(std::vector<double>(d, 5.0),
+                       std::vector<double>(d, 0.5));
+  regions.emplace_back(std::vector<double>(d, 0.0),
+                       std::vector<double>(d, 0.3));
+  regions.emplace_back(std::vector<double>(d, 0.5),
+                       std::vector<double>(d, 2.0));
+  regions.emplace_back(row, std::vector<double>(d, 0.0));
+  return regions;
+}
+
+/// Golden hash of grid labels for every statistic kind, dims 1-5 and
+/// cells_per_dim {1, 8, 16, 64} on random data, plus the lattice /
+/// zero-extent edge dataset. The constant was captured from the original
+/// row-list grid, so any change to the grid's accumulation order, block
+/// merges or membership test shows up here; it must hold on every accel
+/// backend the host supports.
+TEST(GridIndexTest, GoldenLabelsOnEveryAccelBackend) {
+  constexpr uint64_t kGolden = 14151991432217837629ull;
+  struct Config {
+    std::unique_ptr<GridIndexEvaluator> grid;
+    std::vector<Region> regions;
+  };
+  std::vector<Dataset> datasets;
+  datasets.reserve(6);
+  for (size_t d = 1; d <= 5; ++d) {
+    datasets.push_back(MakeRandomData(1200, d, 100 + d));
+  }
+  datasets.push_back(MakeLatticeData(1200, 106));
+  std::vector<Config> configs;
+  for (size_t i = 0; i < datasets.size(); ++i) {
+    const Dataset& ds = datasets[i];
+    const size_t d = i < 5 ? i + 1 : 3;
+    for (int kind = 0; kind < 6; ++kind) {
+      const Statistic stat = MakeStatistic(kind, d);
+      for (size_t cells : {1, 8, 16, 64}) {
+        Config config;
+        config.grid = std::make_unique<GridIndexEvaluator>(&ds, stat, cells);
+        config.regions = GoldenRegions(ds, d, 24, 1000 * d + cells);
+        configs.push_back(std::move(config));
+      }
+    }
+  }
+  const AccelBackend original = ActiveAccelBackend();
+  for (int b = 0; b < kNumAccelBackends; ++b) {
+    const auto backend = static_cast<AccelBackend>(b);
+    if (!SetActiveAccelBackend(backend)) continue;
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const Config& config : configs) {
+      HashLabels(*config.grid, config.regions, &hash);
+    }
+    EXPECT_EQ(hash, kGolden) << AccelBackendName(backend);
+  }
+  SetActiveAccelBackend(original);
 }
 
 TEST(KdTreeTest, BuildsBalancedNodes) {
