@@ -286,16 +286,16 @@ int main(int argc, char** argv) {
   // The serving recipe from bench/ext_service: seeded init, no
   // per-iteration KDE integrals, modest swarm — representative of a
   // latency-sensitive deployment.
-  MineRequest request;
+  v2::MineRequest request;
   request.dataset = "bench";
-  request.statistic = Statistic::Count(ds.region_cols);
-  request.threshold = 1000.0;
-  request.workload.num_queries = queries;
-  request.surrogate.gbrt.n_estimators = 100;
-  request.finder.gso.max_iterations = 30;
-  request.finder.use_kde_guidance = false;
+  request.query.statistic = Statistic::Count(ds.region_cols);
+  request.query.threshold = 1000.0;
+  request.training.workload.num_queries = queries;
+  request.training.surrogate.gbrt.n_estimators = 100;
+  request.search.finder.gso.max_iterations = 30;
+  request.search.finder.use_kde_guidance = false;
   const std::string mine_wire =
-      WireRequest("/v1/mine", WriteJson(MineRequestToJson(request)));
+      WireRequest("/v1/mine", WriteJson(MineRequestV2ToJson(request)));
 
   HttpBenchReport report;
   report.connections = connections;
@@ -500,12 +500,12 @@ int main(int argc, char** argv) {
     // A deliberately long search: convergence disabled, big iteration
     // budget, per-iteration KDE mass guidance on. Same cache key as the
     // warmup (finder knobs are per-request, not part of the key).
-    MineRequest slow = request;
-    slow.finder.gso.max_iterations = 1500;
-    slow.finder.gso.convergence_tol_frac = 0.0;
-    slow.finder.use_kde_guidance = true;
+    v2::MineRequest slow = request;
+    slow.search.finder.gso.max_iterations = 1500;
+    slow.search.finder.gso.convergence_tol_frac = 0.0;
+    slow.search.finder.use_kde_guidance = true;
     const std::string slow_wire =
-        WireRequest("/v1/mine", WriteJson(MineRequestToJson(slow)));
+        WireRequest("/v1/mine", WriteJson(MineRequestV2ToJson(slow)));
 
     BenchClient client;
     int status = 0;
@@ -533,7 +533,7 @@ int main(int argc, char** argv) {
 
     Stopwatch cancel_timer;
     const std::string submit_wire =
-        WireRequest("/v1/jobs", WriteJson(MineRequestToJson(slow)));
+        WireRequest("/v1/jobs", WriteJson(MineRequestV2ToJson(slow)));
     if (client.Request(submit_wire, &status, &body) !=
             RequestOutcome::kComplete ||
         status != 202) {
@@ -620,12 +620,12 @@ int main(int argc, char** argv) {
     // A lighter recipe than phase 1: retrains complete in tens of
     // milliseconds, so the run packs in enough training attempts for a
     // 5% fire rate to actually produce failures worth surviving.
-    MineRequest fault_request = request;
-    fault_request.workload.num_queries = 300;
-    fault_request.surrogate.gbrt.n_estimators = 30;
-    fault_request.finder.gso.max_iterations = 20;
-    const std::string fault_wire =
-        WireRequest("/v1/mine", WriteJson(MineRequestToJson(fault_request)));
+    v2::MineRequest fault_request = request;
+    fault_request.training.workload.num_queries = 300;
+    fault_request.training.surrogate.gbrt.n_estimators = 30;
+    fault_request.search.finder.gso.max_iterations = 20;
+    const std::string fault_wire = WireRequest(
+        "/v1/mine", WriteJson(MineRequestV2ToJson(fault_request)));
     if (auto st = service.RegisterDataset("bench", ds.data); !st.ok()) {
       std::fprintf(stderr, "register failed: %s\n", st.ToString().c_str());
       return 1;
@@ -848,13 +848,13 @@ int main(int argc, char** argv) {
         BenchClient client;
         if (!client.Connect(port)) return;
         while (!batch_stop.load(std::memory_order_relaxed)) {
-          MineRequest batch_request = request;
-          batch_request.workload.num_queries = 300;
-          batch_request.surrogate.gbrt.n_estimators = 30;
-          batch_request.finder.gso.max_iterations = 20;
-          batch_request.threshold = 900.0 + batch_seq.fetch_add(1);
+          v2::MineRequest batch_request = request;
+          batch_request.training.workload.num_queries = 300;
+          batch_request.training.surrogate.gbrt.n_estimators = 30;
+          batch_request.search.finder.gso.max_iterations = 20;
+          batch_request.query.threshold = 900.0 + batch_seq.fetch_add(1);
           const std::string wire = WireRequestWithHeaders(
-              "/v1/mine", WriteJson(MineRequestToJson(batch_request)),
+              "/v1/mine", WriteJson(MineRequestV2ToJson(batch_request)),
               {{"x-surf-priority", "batch"}, {"x-surf-tenant", "analytics"}});
           int status = 0;
           std::string body;

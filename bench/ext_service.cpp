@@ -83,25 +83,25 @@ int main(int argc, char** argv) {
   // One request recipe shared by both arms: same workload, same model,
   // same finder, same validation — the only difference is whether the
   // surrogate is retrained per request or served from the cache.
-  MineRequest request;
+  v2::MineRequest request;
   request.dataset = "bench";
-  request.statistic = Statistic::Count(ds.region_cols);
-  request.threshold = 1000.0;
-  request.workload.num_queries = queries;
-  request.surrogate.gbrt.n_estimators = 200;
-  request.surrogate.gbrt.max_depth = 6;
-  request.finder.gso.max_iterations = 50;
+  request.query.statistic = Statistic::Count(ds.region_cols);
+  request.query.threshold = 1000.0;
+  request.training.workload.num_queries = queries;
+  request.training.surrogate.gbrt.n_estimators = 200;
+  request.training.surrogate.gbrt.max_depth = 6;
+  request.search.finder.gso.max_iterations = 50;
   // Serving recipe: keep the one-off KDE-seeded initialization, drop the
   // per-iteration Eq. 8 mass guidance — the latter costs one KDE
   // integral per particle per iteration and dwarfs every surrogate
   // evaluation, which would mask the training amortization this bench
   // measures. Both arms use the identical recipe.
-  request.finder.use_kde_guidance = false;
+  request.search.finder.use_kde_guidance = false;
 
   SurfOptions oneshot_options;
-  oneshot_options.workload = request.workload;
-  oneshot_options.surrogate = request.surrogate;
-  oneshot_options.finder = request.finder;
+  oneshot_options.workload = request.training.workload;
+  oneshot_options.surrogate = request.training.surrogate;
+  oneshot_options.finder = request.search.finder;
   oneshot_options.backend = BackendKind::kGridIndex;
 
   std::printf("== amortized serving vs one-shot mining (%zu same-key "
@@ -116,14 +116,15 @@ int main(int argc, char** argv) {
   {
     Stopwatch timer;
     for (size_t i = 0; i < requests; ++i) {
-      auto surf = Surf::Build(&ds.data, request.statistic, oneshot_options);
+      auto surf =
+          Surf::Build(&ds.data, request.query.statistic, oneshot_options);
       if (!surf.ok()) {
         std::fprintf(stderr, "one-shot build failed: %s\n",
                      surf.status().ToString().c_str());
         return 1;
       }
       const FindResult result =
-          surf->FindRegions(request.threshold, request.direction);
+          surf->FindRegions(request.query.threshold, request.query.direction);
       if (i == 0) {
         for (const auto& r : result.regions) oneshot_first.push_back(r.region);
       }
@@ -143,8 +144,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     Stopwatch timer;
-    const std::vector<MineResponse> responses =
-        service.MineBatch(std::vector<MineRequest>(requests, request));
+    const std::vector<v2::MineResponse> responses =
+        service.MineBatch(std::vector<v2::MineRequest>(requests, request));
     report.service_seconds = timer.ElapsedSeconds();
     for (const auto& response : responses) {
       if (!response.status.ok()) {

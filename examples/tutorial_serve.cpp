@@ -136,19 +136,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  MineRequest request;
+  // A request names the dataset and carries four recipes: what to mine
+  // (query), how to search (search), the cache-keyed model recipe
+  // (training), and per-request runtime policy (execution).
+  v2::MineRequest request;
   request.dataset = "points";
-  request.statistic = statistic;
-  request.threshold = 2.0 * static_cast<double>(rows) / 10.0;
-  request.workload = workload_params;
-  request.surrogate = train_options;
-  request.finder = finder_config;
+  request.query.statistic = statistic;
+  request.query.threshold = 2.0 * static_cast<double>(rows) / 10.0;
+  request.training.workload = workload_params;
+  request.training.surrogate = train_options;
+  request.search.finder = finder_config;
   // Serving recipe: keep the cheap KDE-seeded initialization, skip the
   // per-iteration Eq. 8 guidance integrals.
-  request.finder.use_kde_guidance = false;
+  request.search.finder.use_kde_guidance = false;
 
-  std::vector<MineRequest> batch(8, request);
-  const std::vector<MineResponse> responses = service.MineBatch(batch);
+  std::vector<v2::MineRequest> batch(8, request);
+  const std::vector<v2::MineResponse> responses = service.MineBatch(batch);
   size_t hits = 0;
   for (const auto& response : responses) {
     if (!response.status.ok()) {
@@ -177,7 +180,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "append: %s\n", st.ToString().c_str());
     return 1;
   }
-  const MineResponse refreshed = service.Mine(request);
+  const v2::MineResponse refreshed = service.Mine(request);
   std::printf("6. after warm start: %zu total evaluations, %zu warm "
               "starts declared in provenance\n",
               refreshed.provenance.training_set_size,

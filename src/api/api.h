@@ -7,10 +7,10 @@
 /// The public request surface is versioned independently of the library:
 /// `kApiVersion` is the current (v2) schema every front-end speaks
 /// natively, `kApiMinVersion` the oldest schema still accepted (the v1
-/// flat `MineRequest` document). Clients negotiate by calling
-/// `GET /v1/version` (surfd), `surf_cli --version`, or `GetBuildInfo()`
-/// in-process, and may then send either schema — the decoders dispatch on
-/// the document's `api_version` field.
+/// flat request document, translated into v2 at decode time). Clients
+/// negotiate by calling `GET /v1/version` (surfd), `surf_cli --version`,
+/// or `GetBuildInfo()` in-process, and may then send either schema — the
+/// decoder dispatches on the document's `api_version` field.
 
 #include <string>
 

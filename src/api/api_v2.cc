@@ -57,69 +57,5 @@ Status ValidateAndNormalize(MineRequest* request) {
   return Status::OK();
 }
 
-surf::MineRequest ToLegacy(const MineRequest& request) {
-  surf::MineRequest legacy;
-  legacy.dataset = request.dataset;
-  legacy.statistic = request.query.statistic;
-  legacy.threshold = request.query.threshold;
-  legacy.direction = request.query.direction;
-  legacy.mode = request.query.kind == QueryKind::kTopK
-                    ? surf::MineRequest::Mode::kTopK
-                    : surf::MineRequest::Mode::kThreshold;
-  legacy.topk = request.search.topk;
-  legacy.finder = request.search.finder;
-  legacy.workload = request.training.workload;
-  legacy.surrogate = request.training.surrogate;
-  legacy.backend = request.execution.backend;
-  legacy.shards = request.execution.shards;
-  legacy.cluster = request.execution.cluster;
-  legacy.use_kde = request.execution.use_kde;
-  legacy.validate = request.execution.validate;
-  legacy.record_evaluations = request.execution.record_evaluations;
-  legacy.trace = request.execution.trace;
-  return legacy;
-}
-
-MineRequest FromLegacy(const surf::MineRequest& request) {
-  MineRequest v2;
-  v2.api_version = kApiMinVersion;
-  v2.dataset = request.dataset;
-  v2.query.statistic = request.statistic;
-  v2.query.kind = request.mode == surf::MineRequest::Mode::kTopK
-                      ? QueryKind::kTopK
-                      : QueryKind::kThreshold;
-  v2.query.threshold = request.threshold;
-  v2.query.direction = request.direction;
-  v2.search.topk = request.topk;
-  v2.search.finder = request.finder;
-  v2.training.workload = request.workload;
-  v2.training.surrogate = request.surrogate;
-  v2.execution.backend = request.backend;
-  v2.execution.shards = request.shards;
-  v2.execution.cluster = request.cluster;
-  v2.execution.use_kde = request.use_kde;
-  v2.execution.validate = request.validate;
-  v2.execution.record_evaluations = request.record_evaluations;
-  v2.execution.trace = request.trace;
-  return v2;
-}
-
-Status ValidateLegacy(const surf::MineRequest& request) {
-  MineRequest lifted = FromLegacy(request);
-  return ValidateAndNormalize(&lifted);
-}
-
-MineResponse FromLegacyResponse(surf::MineResponse response) {
-  MineResponse v2;
-  v2.status = std::move(response.status);
-  v2.result = std::move(response.result);
-  v2.topk = std::move(response.topk);
-  v2.cache_hit = response.cache_hit;
-  v2.provenance = response.provenance;
-  v2.total_seconds = response.total_seconds;
-  v2.trace = std::move(response.trace);
-  return v2;
-}
-
 }  // namespace v2
 }  // namespace surf

@@ -2,14 +2,11 @@
 #define SURF_API_API_V2_H_
 
 /// \file
-/// \brief The v2 public request surface: one versioned, validated
-/// MineRequest/MineResponse pair shared by every front-end.
+/// \brief The public request surface: one versioned, validated
+/// MineRequest/MineResponse pair shared by every front-end and every
+/// layer of the service.
 ///
-/// v1 exposed the service through a flat `surf::MineRequest` whose four
-/// loose config structs (finder, topk, workload, surrogate) were
-/// re-declared ad hoc by each front-end: the in-process structs, the JSON
-/// codec, and the CLI query-file parser each validated (or failed to
-/// validate) their own copy. v2 declares the surface once:
+/// The surface is declared once:
 ///
 ///  - an explicit `api_version` field, so clients can negotiate schemas
 ///    (see api.h and `GET /v1/version`);
@@ -17,18 +14,23 @@
 ///    SearchRecipe (how to search), TrainingRecipe (the cache-keyed
 ///    model recipe), ExecutionPolicy (per-request runtime policy,
 ///    including the cancellation deadline);
-///  - one `ValidateAndNormalize` pass every front-end routes through
-///    before a request reaches the mining core.
+///  - one `ValidateAndNormalize` pass the mining core runs on its own
+///    copy of every request (the JSON decoder runs it too, so malformed
+///    bodies answer 400 before a job exists).
 ///
-/// The legacy flat struct remains the in-memory execution form;
-/// `ToLegacy`/`FromLegacy` convert losslessly, so v1 callers keep working
-/// bit-identically.
+/// These structs are the only in-memory request and response: the
+/// service, its job core, the HTTP handler and the CLI all carry them
+/// unchanged. The older flat v1 document is a wire schema only — the
+/// JSON decoder translates it into a MineRequest with `api_version = 1`
+/// (net/json_codec.h).
 
 #include <memory>
 #include <string>
 
+#include "core/surf.h"
+#include "core/topk.h"
 #include "data/sharded.h"
-#include "serve/mining_service.h"
+#include "serve/surrogate_cache.h"
 #include "util/status.h"
 #include "util/trace.h"
 
@@ -87,7 +89,7 @@ struct ExecutionPolicy {
   BackendKind backend = BackendKind::kGridIndex;
   /// Row-range shards for the exact back-end. The default 1 — which is
   /// also what every v1 request implies — keeps the single `backend`
-  /// evaluator and its bit-exact legacy behaviour; 2..4096 switches
+  /// evaluator; 2..4096 switches
   /// workload labelling and validation to the shard-parallel scan
   /// backend (ShardedScanEvaluator), with per-shard partial statistics
   /// merged in fixed shard order. 0 normalizes to 1. Like `backend`,
@@ -158,30 +160,14 @@ struct MineResponse {
   std::shared_ptr<const TraceContext> trace;
 };
 
-/// \brief The one validation/normalization pass every front-end routes a
-/// request through before it reaches the mining core.
+/// \brief The one validation/normalization pass: the mining core runs it
+/// on its own copy of every request, the JSON decoder on every body.
 ///
 /// Rejects with InvalidArgument: unsupported `api_version`, empty
 /// dataset, a statistic without region columns, non-finite threshold,
 /// `record_evaluations` without `validate`, k = 0 top-k queries, an
 /// empty training workload, and negative/non-finite deadlines.
 Status ValidateAndNormalize(MineRequest* request);
-
-/// Converts a v2 request to the legacy flat execution form (lossless;
-/// the deadline lives in ExecutionPolicy only and is applied by the job
-/// layer, not the legacy struct).
-surf::MineRequest ToLegacy(const MineRequest& request);
-
-/// Lifts a legacy flat request into the v2 surface (api_version = 1).
-MineRequest FromLegacy(const surf::MineRequest& request);
-
-/// Validates a legacy request through the same v2 path (the conversion
-/// is lossless, so this is exactly `ValidateAndNormalize` on the lifted
-/// form).
-Status ValidateLegacy(const surf::MineRequest& request);
-
-/// Wraps a legacy response in the v2 envelope.
-MineResponse FromLegacyResponse(surf::MineResponse response);
 
 }  // namespace v2
 }  // namespace surf

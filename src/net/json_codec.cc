@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "api/api.h"
+
 namespace surf {
 
 namespace {
@@ -149,14 +151,14 @@ StatusOr<ThresholdDirection> DirectionFromName(const std::string& name) {
                                  "' (above|below)");
 }
 
-const char* ModeName(MineRequest::Mode mode) {
-  return mode == MineRequest::Mode::kTopK ? "topk" : "threshold";
+const char* QueryKindName(v2::QueryKind kind) {
+  return kind == v2::QueryKind::kTopK ? "topk" : "threshold";
 }
 
-StatusOr<MineRequest::Mode> ModeFromName(const std::string& name) {
-  if (name == "threshold") return MineRequest::Mode::kThreshold;
-  if (name == "topk") return MineRequest::Mode::kTopK;
-  return Status::InvalidArgument("unknown mode '" + name +
+StatusOr<v2::QueryKind> QueryKindFromName(const std::string& name) {
+  if (name == "threshold") return v2::QueryKind::kThreshold;
+  if (name == "topk") return v2::QueryKind::kTopK;
+  return Status::InvalidArgument("unknown query kind '" + name +
                                  "' (threshold|topk)");
 }
 
@@ -699,238 +701,80 @@ StatusOr<SurrogateProvenance> ProvenanceFromJson(const JsonValue& json) {
   return p;
 }
 
-// ------------------------------------------------------------ MineRequest
+// ------------------------------------------------------ v1 flat schema
 
-JsonValue MineRequestToJson(const MineRequest& request) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("dataset", JsonValue(request.dataset));
-  obj.Set("statistic", StatisticToJson(request.statistic));
-  obj.Set("threshold", JsonValue(request.threshold));
-  obj.Set("direction", JsonValue(DirectionName(request.direction)));
-  obj.Set("mode", JsonValue(ModeName(request.mode)));
-  obj.Set("topk", TopKToJson(request.topk));
-  obj.Set("finder", FinderToJson(request.finder));
-  obj.Set("workload", WorkloadToJson(request.workload));
-  obj.Set("surrogate", SurrogateOptionsToJson(request.surrogate));
-  obj.Set("backend", JsonValue(BackendName(request.backend)));
-  obj.Set("shards", JsonValue(static_cast<double>(request.shards)));
-  obj.Set("cluster", JsonValue(request.cluster));
-  obj.Set("use_kde", JsonValue(request.use_kde));
-  obj.Set("validate", JsonValue(request.validate));
-  obj.Set("record_evaluations", JsonValue(request.record_evaluations));
-  obj.Set("trace", JsonValue(request.trace));
-  return obj;
-}
+namespace {
 
-StatusOr<MineRequest> MineRequestFromJson(const JsonValue& json,
-                                          const ColumnResolver* resolver) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("mine request must be a JSON object");
-  }
-  MineRequest request;
+/// Translates a flat v1 document (every field at the top level, the
+/// query kind under `mode`) into a MineRequest with `api_version = 1`.
+/// Absent fields keep the struct defaults, which match v1's.
+StatusOr<v2::MineRequest> MineRequestFromJson(const JsonValue& json,
+                                              const ColumnResolver* resolver) {
+  v2::MineRequest request;
+  request.api_version = 1;
   SURF_RETURN_IF_ERROR(ReadString(json, "dataset", &request.dataset));
   if (request.dataset.empty()) {
     return Status::InvalidArgument("field 'dataset' is required");
   }
+  v2::QuerySpec& query = request.query;
   if (const JsonValue* stat = json.Find("statistic")) {
-    SURF_RETURN_IF_ERROR(StatisticFromJson(*stat, request.dataset, resolver,
-                                           &request.statistic));
+    SURF_RETURN_IF_ERROR(
+        StatisticFromJson(*stat, request.dataset, resolver, &query.statistic));
   }
-  if (request.statistic.region_cols.empty()) {
+  if (query.statistic.region_cols.empty()) {
     return Status::InvalidArgument(
         "statistic.region_cols must name at least one column");
   }
-  SURF_RETURN_IF_ERROR(ReadDouble(json, "threshold", &request.threshold));
-  std::string direction = DirectionName(request.direction);
+  SURF_RETURN_IF_ERROR(ReadDouble(json, "threshold", &query.threshold));
+  std::string direction = DirectionName(query.direction);
   SURF_RETURN_IF_ERROR(ReadString(json, "direction", &direction));
   auto parsed_direction = DirectionFromName(direction);
   if (!parsed_direction.ok()) return parsed_direction.status();
-  request.direction = *parsed_direction;
+  query.direction = *parsed_direction;
 
-  std::string mode = ModeName(request.mode);
+  std::string mode = QueryKindName(query.kind);
   SURF_RETURN_IF_ERROR(ReadString(json, "mode", &mode));
-  auto parsed_mode = ModeFromName(mode);
-  if (!parsed_mode.ok()) return parsed_mode.status();
-  request.mode = *parsed_mode;
+  auto parsed_kind = QueryKindFromName(mode);
+  if (!parsed_kind.ok()) {
+    return Status::InvalidArgument("unknown mode '" + mode +
+                                   "' (threshold|topk)");
+  }
+  query.kind = *parsed_kind;
 
   if (const JsonValue* topk = json.Find("topk")) {
-    SURF_RETURN_IF_ERROR(TopKFromJson(*topk, &request.topk));
+    SURF_RETURN_IF_ERROR(TopKFromJson(*topk, &request.search.topk));
   }
   if (const JsonValue* finder = json.Find("finder")) {
-    SURF_RETURN_IF_ERROR(FinderFromJson(*finder, &request.finder));
+    SURF_RETURN_IF_ERROR(FinderFromJson(*finder, &request.search.finder));
   }
   if (const JsonValue* workload = json.Find("workload")) {
-    SURF_RETURN_IF_ERROR(WorkloadFromJson(*workload, &request.workload));
+    SURF_RETURN_IF_ERROR(
+        WorkloadFromJson(*workload, &request.training.workload));
   }
   if (const JsonValue* surrogate = json.Find("surrogate")) {
     SURF_RETURN_IF_ERROR(
-        SurrogateOptionsFromJson(*surrogate, &request.surrogate));
+        SurrogateOptionsFromJson(*surrogate, &request.training.surrogate));
   }
-  std::string backend = BackendName(request.backend);
+  v2::ExecutionPolicy& execution = request.execution;
+  std::string backend = BackendName(execution.backend);
   SURF_RETURN_IF_ERROR(ReadString(json, "backend", &backend));
   auto parsed_backend = BackendFromName(backend);
   if (!parsed_backend.ok()) return parsed_backend.status();
-  request.backend = *parsed_backend;
+  execution.backend = *parsed_backend;
 
-  SURF_RETURN_IF_ERROR(ReadSize(json, "shards", &request.shards));
-  SURF_RETURN_IF_ERROR(ReadBool(json, "cluster", &request.cluster));
-  SURF_RETURN_IF_ERROR(ReadBool(json, "use_kde", &request.use_kde));
-  SURF_RETURN_IF_ERROR(ReadBool(json, "validate", &request.validate));
+  SURF_RETURN_IF_ERROR(ReadSize(json, "shards", &execution.shards));
+  SURF_RETURN_IF_ERROR(ReadBool(json, "cluster", &execution.cluster));
+  SURF_RETURN_IF_ERROR(ReadBool(json, "use_kde", &execution.use_kde));
+  SURF_RETURN_IF_ERROR(ReadBool(json, "validate", &execution.validate));
   SURF_RETURN_IF_ERROR(
-      ReadBool(json, "record_evaluations", &request.record_evaluations));
-  SURF_RETURN_IF_ERROR(ReadBool(json, "trace", &request.trace));
+      ReadBool(json, "record_evaluations", &execution.record_evaluations));
+  SURF_RETURN_IF_ERROR(ReadBool(json, "trace", &execution.trace));
   return request;
 }
 
-// ----------------------------------------------------------- MineResponse
-
-namespace {
-
-/// Shared response envelope: the v1 and v2 encoders differ only in the
-/// version stamp the caller adds on top. `trace` is nullable — the
-/// `trace` key is emitted only for traced requests, so untraced
-/// responses stay byte-identical to the pre-tracing schema.
-JsonValue EncodeResponseEnvelope(const Status& status, bool cache_hit,
-                                 double total_seconds,
-                                 const SurrogateProvenance& provenance,
-                                 const FindResult& result,
-                                 const TopKResult& topk_result,
-                                 MineRequest::Mode mode,
-                                 const TraceContext* trace);
-
 }  // namespace
 
-JsonValue MineResponseToJson(const MineResponse& response,
-                             MineRequest::Mode mode) {
-  return EncodeResponseEnvelope(response.status, response.cache_hit,
-                                response.total_seconds, response.provenance,
-                                response.result, response.topk, mode,
-                                response.trace.get());
-}
-
-namespace {
-
-JsonValue EncodeResponseEnvelope(const Status& status, bool cache_hit,
-                                 double total_seconds,
-                                 const SurrogateProvenance& provenance,
-                                 const FindResult& result,
-                                 const TopKResult& topk_result,
-                                 MineRequest::Mode mode,
-                                 const TraceContext* trace) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("status", StatusToJson(status));
-  obj.Set("cache_hit", JsonValue(cache_hit));
-  obj.Set("total_seconds", JsonValue(total_seconds));
-  obj.Set("provenance", ProvenanceToJson(provenance));
-  obj.Set("mode", JsonValue(ModeName(mode)));
-  if (mode == MineRequest::Mode::kTopK) {
-    JsonValue topk = JsonValue::Object();
-    JsonValue regions = JsonValue::Array();
-    for (const ScoredRegion& r : topk_result.regions) {
-      JsonValue scored = JsonValue::Object();
-      scored.Set("region", RegionToJson(r.region));
-      scored.Set("fitness", JsonValue(r.fitness));
-      scored.Set("statistic", JsonValue(r.statistic));
-      regions.Append(std::move(scored));
-    }
-    topk.Set("regions", std::move(regions));
-    topk.Set("iterations",
-             JsonValue(static_cast<double>(topk_result.iterations)));
-    topk.Set("objective_evaluations",
-             JsonValue(
-                 static_cast<double>(topk_result.objective_evaluations)));
-    topk.Set("cancelled", JsonValue(topk_result.cancelled));
-    obj.Set("topk", std::move(topk));
-  } else {
-    JsonValue encoded = JsonValue::Object();
-    JsonValue regions = JsonValue::Array();
-    for (const FoundRegion& r : result.regions) {
-      regions.Append(FoundRegionToJson(r));
-    }
-    encoded.Set("regions", std::move(regions));
-    encoded.Set("report", ReportToJson(result.report));
-    obj.Set("result", std::move(encoded));
-  }
-  if (trace != nullptr) obj.Set("trace", TraceSummaryToJson(*trace));
-  return obj;
-}
-
-}  // namespace
-
-StatusOr<MineResponse> MineResponseFromJson(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("mine response must be a JSON object");
-  }
-  MineResponse response;
-  if (const JsonValue* status = json.Find("status")) {
-    SURF_RETURN_IF_ERROR(StatusFromJson(*status, &response.status));
-  }
-  SURF_RETURN_IF_ERROR(ReadBool(json, "cache_hit", &response.cache_hit));
-  SURF_RETURN_IF_ERROR(
-      ReadDouble(json, "total_seconds", &response.total_seconds));
-  if (const JsonValue* provenance = json.Find("provenance")) {
-    auto parsed = ProvenanceFromJson(*provenance);
-    if (!parsed.ok()) return parsed.status();
-    response.provenance = *parsed;
-  }
-  if (const JsonValue* result = json.Find("result")) {
-    if (!result->is_object()) return TypeError("result", "an object");
-    if (const JsonValue* regions = result->Find("regions")) {
-      if (!regions->is_array()) return TypeError("regions", "an array");
-      for (const JsonValue& r : regions->array()) {
-        auto parsed = FoundRegionFromJson(r);
-        if (!parsed.ok()) return parsed.status();
-        response.result.regions.push_back(std::move(parsed).value());
-      }
-    }
-    if (const JsonValue* report = result->Find("report")) {
-      SURF_RETURN_IF_ERROR(ReportFromJson(*report, &response.result.report));
-    }
-  }
-  if (const JsonValue* topk = json.Find("topk")) {
-    if (!topk->is_object()) return TypeError("topk", "an object");
-    if (const JsonValue* regions = topk->Find("regions")) {
-      if (!regions->is_array()) return TypeError("regions", "an array");
-      for (const JsonValue& r : regions->array()) {
-        if (!r.is_object()) return TypeError("regions[]", "an object");
-        ScoredRegion scored;
-        const JsonValue* region = r.Find("region");
-        if (region == nullptr) return TypeError("region", "present");
-        auto parsed = RegionFromJson(*region);
-        if (!parsed.ok()) return parsed.status();
-        scored.region = std::move(parsed).value();
-        SURF_RETURN_IF_ERROR(ReadDouble(r, "fitness", &scored.fitness));
-        SURF_RETURN_IF_ERROR(ReadDouble(r, "statistic", &scored.statistic));
-        response.topk.regions.push_back(std::move(scored));
-      }
-    }
-    SURF_RETURN_IF_ERROR(
-        ReadSize(*topk, "iterations", &response.topk.iterations));
-    uint64_t evals = 0;
-    SURF_RETURN_IF_ERROR(ReadU64(*topk, "objective_evaluations", &evals));
-    response.topk.objective_evaluations = evals;
-    SURF_RETURN_IF_ERROR(
-        ReadBool(*topk, "cancelled", &response.topk.cancelled));
-  }
-  return response;
-}
-
-// ------------------------------------------------------------- v2 schema
-
-namespace {
-
-const char* QueryKindName(v2::QueryKind kind) {
-  return kind == v2::QueryKind::kTopK ? "topk" : "threshold";
-}
-
-StatusOr<v2::QueryKind> QueryKindFromName(const std::string& name) {
-  if (name == "threshold") return v2::QueryKind::kThreshold;
-  if (name == "topk") return v2::QueryKind::kTopK;
-  return Status::InvalidArgument("unknown query kind '" + name +
-                                 "' (threshold|topk)");
-}
-
-}  // namespace
+// ------------------------------------------------------------ MineRequest
 
 JsonValue MineRequestV2ToJson(const v2::MineRequest& request) {
   JsonValue obj = JsonValue::Object();
@@ -981,13 +825,12 @@ StatusOr<v2::MineRequest> MineRequestV2FromJson(
   SURF_RETURN_IF_ERROR(ReadU64(json, "api_version", &api_version));
 
   if (api_version == 1) {
-    auto legacy = MineRequestFromJson(json, resolver);
-    if (!legacy.ok()) return legacy.status();
+    auto request = MineRequestFromJson(json, resolver);
+    if (!request.ok()) return request;
     // Both schema versions answer 400 at decode time through the same
     // validation path (e.g. record_evaluations without validate).
-    v2::MineRequest lifted = v2::FromLegacy(*legacy);
-    SURF_RETURN_IF_ERROR(v2::ValidateAndNormalize(&lifted));
-    return lifted;
+    SURF_RETURN_IF_ERROR(v2::ValidateAndNormalize(&*request));
+    return request;
   }
   if (api_version != 2) {
     return Status::InvalidArgument(
@@ -1073,17 +916,117 @@ StatusOr<v2::MineRequest> MineRequestV2FromJson(
   return request;
 }
 
+// ----------------------------------------------------------- MineResponse
+
 JsonValue MineResponseV2ToJson(const v2::MineResponse& response,
                                v2::QueryKind kind) {
-  JsonValue obj = EncodeResponseEnvelope(
-      response.status, response.cache_hit, response.total_seconds,
-      response.provenance, response.result, response.topk,
-      kind == v2::QueryKind::kTopK ? MineRequest::Mode::kTopK
-                                   : MineRequest::Mode::kThreshold,
-      response.trace.get());
+  JsonValue obj = JsonValue::Object();
+  obj.Set("status", StatusToJson(response.status));
+  obj.Set("cache_hit", JsonValue(response.cache_hit));
+  obj.Set("total_seconds", JsonValue(response.total_seconds));
+  obj.Set("provenance", ProvenanceToJson(response.provenance));
+  obj.Set("mode", JsonValue(QueryKindName(kind)));
+  if (kind == v2::QueryKind::kTopK) {
+    JsonValue topk = JsonValue::Object();
+    JsonValue regions = JsonValue::Array();
+    for (const ScoredRegion& r : response.topk.regions) {
+      JsonValue scored = JsonValue::Object();
+      scored.Set("region", RegionToJson(r.region));
+      scored.Set("fitness", JsonValue(r.fitness));
+      scored.Set("statistic", JsonValue(r.statistic));
+      regions.Append(std::move(scored));
+    }
+    topk.Set("regions", std::move(regions));
+    topk.Set("iterations",
+             JsonValue(static_cast<double>(response.topk.iterations)));
+    topk.Set("objective_evaluations",
+             JsonValue(static_cast<double>(
+                 response.topk.objective_evaluations)));
+    topk.Set("cancelled", JsonValue(response.topk.cancelled));
+    obj.Set("topk", std::move(topk));
+  } else {
+    JsonValue encoded = JsonValue::Object();
+    JsonValue regions = JsonValue::Array();
+    for (const FoundRegion& r : response.result.regions) {
+      regions.Append(FoundRegionToJson(r));
+    }
+    encoded.Set("regions", std::move(regions));
+    encoded.Set("report", ReportToJson(response.result.report));
+    obj.Set("result", std::move(encoded));
+  }
+  // The trace block is emitted only for traced requests, so untraced
+  // responses stay byte-identical to the pre-tracing schema.
+  if (response.trace != nullptr) {
+    obj.Set("trace", TraceSummaryToJson(*response.trace));
+  }
   obj.Set("api_version",
           JsonValue(static_cast<double>(response.api_version)));
   return obj;
+}
+
+StatusOr<v2::MineResponse> MineResponseFromJson(const JsonValue& json) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument("mine response must be a JSON object");
+  }
+  v2::MineResponse response;
+  uint64_t api_version = static_cast<uint64_t>(response.api_version);
+  SURF_RETURN_IF_ERROR(ReadU64(json, "api_version", &api_version));
+  if (api_version > static_cast<uint64_t>(kApiVersion)) {
+    return Status::InvalidArgument("unsupported response api_version " +
+                                   std::to_string(api_version));
+  }
+  response.api_version = static_cast<int>(api_version);
+  if (const JsonValue* status = json.Find("status")) {
+    SURF_RETURN_IF_ERROR(StatusFromJson(*status, &response.status));
+  }
+  SURF_RETURN_IF_ERROR(ReadBool(json, "cache_hit", &response.cache_hit));
+  SURF_RETURN_IF_ERROR(
+      ReadDouble(json, "total_seconds", &response.total_seconds));
+  if (const JsonValue* provenance = json.Find("provenance")) {
+    auto parsed = ProvenanceFromJson(*provenance);
+    if (!parsed.ok()) return parsed.status();
+    response.provenance = *parsed;
+  }
+  if (const JsonValue* result = json.Find("result")) {
+    if (!result->is_object()) return TypeError("result", "an object");
+    if (const JsonValue* regions = result->Find("regions")) {
+      if (!regions->is_array()) return TypeError("regions", "an array");
+      for (const JsonValue& r : regions->array()) {
+        auto parsed = FoundRegionFromJson(r);
+        if (!parsed.ok()) return parsed.status();
+        response.result.regions.push_back(std::move(parsed).value());
+      }
+    }
+    if (const JsonValue* report = result->Find("report")) {
+      SURF_RETURN_IF_ERROR(ReportFromJson(*report, &response.result.report));
+    }
+  }
+  if (const JsonValue* topk = json.Find("topk")) {
+    if (!topk->is_object()) return TypeError("topk", "an object");
+    if (const JsonValue* regions = topk->Find("regions")) {
+      if (!regions->is_array()) return TypeError("regions", "an array");
+      for (const JsonValue& r : regions->array()) {
+        if (!r.is_object()) return TypeError("regions[]", "an object");
+        ScoredRegion scored;
+        const JsonValue* region = r.Find("region");
+        if (region == nullptr) return TypeError("region", "present");
+        auto parsed = RegionFromJson(*region);
+        if (!parsed.ok()) return parsed.status();
+        scored.region = std::move(parsed).value();
+        SURF_RETURN_IF_ERROR(ReadDouble(r, "fitness", &scored.fitness));
+        SURF_RETURN_IF_ERROR(ReadDouble(r, "statistic", &scored.statistic));
+        response.topk.regions.push_back(std::move(scored));
+      }
+    }
+    SURF_RETURN_IF_ERROR(
+        ReadSize(*topk, "iterations", &response.topk.iterations));
+    uint64_t evals = 0;
+    SURF_RETURN_IF_ERROR(ReadU64(*topk, "objective_evaluations", &evals));
+    response.topk.objective_evaluations = evals;
+    SURF_RETURN_IF_ERROR(
+        ReadBool(*topk, "cancelled", &response.topk.cancelled));
+  }
+  return response;
 }
 
 // ------------------------------------------------- distributed evaluation

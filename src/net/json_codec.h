@@ -4,15 +4,20 @@
 /// \file
 /// \brief JSON codecs for the wire types of the HTTP front-end.
 ///
-/// The encoders write every field of `MineRequest` (so a decoded request
-/// re-encodes to the identical document — the round-trip property the
-/// codec tests enforce) and the full `MineResponse` including
-/// `SurrogateProvenance`. Doubles survive bit-exactly (`%.17g` via
-/// WriteJson); 64-bit fingerprints are carried as hex strings because
-/// JSON numbers lose integer precision past 2^53. Decoders treat absent
-/// fields as "keep the struct default", reject wrongly-typed or
-/// non-finite values with InvalidArgument, and never crash on malformed
-/// documents.
+/// A mining body arrives in one of two wire schemas and always decodes
+/// into the one in-memory request, `v2::MineRequest` (api/api_v2.h):
+/// the v2 named-section schema decodes natively, and the flat v1 schema
+/// (no `api_version`, or 1) is translated field by field at decode time
+/// — it has no in-memory form of its own. Responses are always written
+/// in the v2 envelope. The request encoder writes every field (so a
+/// decoded request re-encodes to the identical document — the round-trip
+/// property the codec tests enforce) and the response encoder the full
+/// `v2::MineResponse` including `SurrogateProvenance`. Doubles survive
+/// bit-exactly (`%.17g` via WriteJson); 64-bit fingerprints are carried
+/// as hex strings because JSON numbers lose integer precision past 2^53.
+/// Decoders treat absent fields as "keep the struct default", reject
+/// wrongly-typed or non-finite values with InvalidArgument, and never
+/// crash on malformed documents.
 
 #include <functional>
 #include <string>
@@ -20,7 +25,6 @@
 #include "api/api_v2.h"
 #include "dist/wire.h"
 #include "geom/region.h"
-#include "serve/mining_service.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -59,47 +63,39 @@ JsonValue ProvenanceToJson(const SurrogateProvenance& provenance);
 /// Decodes provenance written by ProvenanceToJson.
 StatusOr<SurrogateProvenance> ProvenanceFromJson(const JsonValue& json);
 
-/// Encodes every field of a MineRequest.
-JsonValue MineRequestToJson(const MineRequest& request);
-
-/// Decodes a MineRequest. Absent fields keep their defaults. String
-/// entries in `statistic.region_cols` / `statistic.value_col` are
-/// resolved through `resolver` (InvalidArgument without one).
-StatusOr<MineRequest> MineRequestFromJson(
-    const JsonValue& json, const ColumnResolver* resolver = nullptr);
-
-/// Encodes a MineResponse. `mode` selects whether the threshold `result`
-/// or the `topk` payload is emitted (the other is empty by construction).
-JsonValue MineResponseToJson(const MineResponse& response,
-                             MineRequest::Mode mode);
-
-/// Decodes a MineResponse written by MineResponseToJson (used by network
-/// clients — the load bench and the parity tests). The raw GSO swarm is
-/// not carried over the wire and stays empty.
-StatusOr<MineResponse> MineResponseFromJson(const JsonValue& json);
-
-// ------------------------------------------------------------- v2 schema
+// ---------------------------------------------------------- mine bodies
 //
 // The v2 wire schema mirrors v2::MineRequest: an explicit `api_version`
 // plus the named sub-recipes `query`, `search`, `training`, `execution`.
-// The v2 decoder is the one entry point surfd routes every mining body
+// MineRequestV2FromJson is the one decoder every mining body goes
 // through: documents with `api_version: 2` decode natively, documents
-// with no `api_version` (or 1) decode through the legacy flat schema and
-// are lifted — so v1 clients keep working unchanged.
+// with no `api_version` (or 1) are read as the flat v1 schema straight
+// into a v2::MineRequest with `api_version = 1` — so v1 clients keep
+// working unchanged.
 
 /// Encodes a v2 request in the v2 named-section schema.
 JsonValue MineRequestV2ToJson(const v2::MineRequest& request);
 
 /// Decodes a mining request of either schema version, dispatching on the
-/// document's `api_version` field (absent = v1 flat schema). Column
-/// names resolve through `resolver` as in MineRequestFromJson.
+/// document's `api_version` field (absent = v1 flat schema), and runs
+/// v2::ValidateAndNormalize on the result. String entries in
+/// `statistic.region_cols` / `statistic.value_col` are resolved through
+/// `resolver` (InvalidArgument without one).
 StatusOr<v2::MineRequest> MineRequestV2FromJson(
     const JsonValue& json, const ColumnResolver* resolver = nullptr);
 
-/// Encodes a v2 response: the v1 envelope plus `api_version` (the shared
-/// result/topk/report payloads are identical across schema versions).
+/// Encodes a response envelope: status, cache_hit, total_seconds,
+/// provenance, `mode`, then either the threshold `result` or the `topk`
+/// payload as `kind` selects (the other is empty by construction), the
+/// trace block for traced requests, and `api_version`.
 JsonValue MineResponseV2ToJson(const v2::MineResponse& response,
                                v2::QueryKind kind);
+
+/// Decodes a response written by MineResponseV2ToJson, `api_version`
+/// included (used by network clients — the load bench and the parity
+/// tests). The raw GSO swarm is not carried over the wire and stays
+/// empty.
+StatusOr<v2::MineResponse> MineResponseFromJson(const JsonValue& json);
 
 // ------------------------------------------------- distributed evaluation
 //
@@ -114,7 +110,7 @@ JsonValue MineResponseV2ToJson(const v2::MineResponse& response,
 JsonValue ShardEvaluateRequestToJson(const dist::ShardEvaluateRequest& request);
 
 /// Decodes a shard-evaluate request. The statistic resolves column names
-/// through `resolver` like MineRequestFromJson; rejects non-ascending or
+/// through `resolver` like MineRequestV2FromJson; rejects non-ascending or
 /// out-of-range shard indices.
 StatusOr<dist::ShardEvaluateRequest> ShardEvaluateRequestFromJson(
     const JsonValue& json, const ColumnResolver* resolver = nullptr);

@@ -453,7 +453,7 @@ HttpResponse SurfHandler::ExecuteMine(const HttpRequest& request,
     if (response.status.code() == StatusCode::kUnavailable) {
       // Circuit-breaker refusals carry a Retry-After hint so well-behaved
       // clients back off for (at least) the remaining open window.
-      auto key = service_->KeyFor(v2::ToLegacy(*decoded));
+      auto key = service_->KeyFor(*decoded);
       if (key.ok()) {
         const int retry_after =
             service_->cache().RetryAfterSeconds(*key);
@@ -531,10 +531,8 @@ HttpResponse SurfHandler::HandleEvaluations(const HttpRequest& request,
                              "required");
   }
   const ColumnResolver resolver = MakeResolver();
-  auto decoded_v2 = MineRequestV2FromJson(*keyed, &resolver);
-  if (!decoded_v2.ok()) return StatusResponse(decoded_v2.status());
-  const MineRequest legacy_key = v2::ToLegacy(*decoded_v2);
-  const MineRequest* decoded = &legacy_key;
+  auto decoded = MineRequestV2FromJson(*keyed, &resolver);
+  if (!decoded.ok()) return StatusResponse(decoded.status());
 
   const JsonValue* evaluations = json->Find("evaluations");
   if (evaluations == nullptr || !evaluations->is_array() ||
@@ -545,10 +543,10 @@ HttpResponse SurfHandler::HandleEvaluations(const HttpRequest& request,
         "required");
   }
 
-  const size_t dims = decoded->statistic.region_cols.size();
+  const size_t dims = decoded->query.statistic.region_cols.size();
   RegionWorkload fresh;
   fresh.features = FeatureMatrix(2 * dims);
-  fresh.statistic = decoded->statistic;
+  fresh.statistic = decoded->query.statistic;
   for (size_t i = 0; i < evaluations->array().size(); ++i) {
     const JsonValue& entry = evaluations->array()[i];
     const std::string at = "evaluations[" + std::to_string(i) + "]";
@@ -778,15 +776,10 @@ HttpResponse SurfHandler::HandleGetJob(const HttpRequest&,
   JsonValue body = JsonValue::Object();
   body.Set("job_id", JsonValue(id));
   body.Set("progress", JobProgressToJson(job->progress()));
-  MineResponse response;
+  v2::MineResponse response;
   if (job->TryGet(&response)) {
-    const v2::QueryKind kind =
-        job->request().mode == MineRequest::Mode::kTopK
-            ? v2::QueryKind::kTopK
-            : v2::QueryKind::kThreshold;
     body.Set("response",
-             MineResponseV2ToJson(v2::FromLegacyResponse(std::move(response)),
-                                  kind));
+             MineResponseV2ToJson(response, job->request().query.kind));
   }
   return JsonResponse(200, body);
 }

@@ -2,16 +2,17 @@
 
 #include <cmath>
 
-#include "serve/mining_service.h"
+#include "api/api_v2.h"
 
 namespace surf {
 
 // ----------------------------------------------------------------- MineJob
 
-MineJob::MineJob(MineRequest request, double deadline_seconds)
-    : request_(std::make_unique<MineRequest>(std::move(request))) {
+MineJob::MineJob(const v2::MineRequest& request)
+    : request_(std::make_unique<v2::MineRequest>(request)) {
+  const double deadline_seconds = request_->execution.deadline_seconds;
   if (deadline_seconds > 0.0) cancel_.SetDeadline(deadline_seconds);
-  if (request_->trace) trace_ = std::make_shared<TraceContext>();
+  if (request_->execution.trace) trace_ = std::make_shared<TraceContext>();
 }
 
 int64_t MineJob::NowNs() const {
@@ -24,13 +25,13 @@ MineJob::~MineJob() = default;
 
 void MineJob::Cancel() { cancel_.Cancel(); }
 
-const MineResponse& MineJob::Wait() const {
+const v2::MineResponse& MineJob::Wait() const {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return response_ != nullptr; });
   return *response_;
 }
 
-bool MineJob::TryGet(MineResponse* out) const {
+bool MineJob::TryGet(v2::MineResponse* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (response_ == nullptr) return false;
   if (out != nullptr) *out = *response_;
@@ -66,7 +67,7 @@ MineJob::Progress MineJob::progress() const {
   return p;
 }
 
-const MineRequest& MineJob::request() const { return *request_; }
+const v2::MineRequest& MineJob::request() const { return *request_; }
 
 std::chrono::steady_clock::time_point MineJob::completed_at() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -83,11 +84,11 @@ void MineJob::SetPhase(Phase phase) {
   phase_.store(phase, std::memory_order_release);
 }
 
-void MineJob::Complete(MineResponse response) {
+void MineJob::Complete(v2::MineResponse response) {
   finished_ns_.store(NowNs(), std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    response_ = std::make_unique<MineResponse>(std::move(response));
+    response_ = std::make_unique<v2::MineResponse>(std::move(response));
     completed_at_ = std::chrono::steady_clock::now();
   }
   // Publish the terminal phase only after the response is readable, so
@@ -96,7 +97,7 @@ void MineJob::Complete(MineResponse response) {
   cv_.notify_all();
 }
 
-MineResponse MineJob::TakeResponse() {
+v2::MineResponse MineJob::TakeResponse() {
   std::lock_guard<std::mutex> lock(mu_);
   return std::move(*response_);
 }

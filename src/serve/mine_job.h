@@ -23,8 +23,11 @@
 namespace surf {
 
 class MiningService;
+
+namespace v2 {
 struct MineRequest;
 struct MineResponse;
+}  // namespace v2
 
 /// \brief Handle to one in-flight (or finished) mining request.
 ///
@@ -87,11 +90,11 @@ class MineJob {
 
   /// Blocks until the job is terminal; returns the response (valid for
   /// the life of the handle).
-  const MineResponse& Wait() const;
+  const v2::MineResponse& Wait() const;
 
   /// Non-blocking poll: copies the response into `*out` and returns true
   /// when terminal, returns false (leaving `*out` untouched) otherwise.
-  bool TryGet(MineResponse* out) const;
+  bool TryGet(v2::MineResponse* out) const;
 
   /// Whether the job reached its terminal state.
   bool done() const;
@@ -99,8 +102,9 @@ class MineJob {
   /// Live progress snapshot.
   Progress progress() const;
 
-  /// The request this job serves.
-  const MineRequest& request() const;
+  /// The request this job serves (normalized once the job has run
+  /// ValidateAndNormalize on it).
+  const v2::MineRequest& request() const;
 
   /// The token the mining core polls; exposed so tests can assert on it.
   CancelToken cancel_token() const { return cancel_.token(); }
@@ -112,21 +116,24 @@ class MineJob {
  private:
   friend class MiningService;
 
-  /// Jobs are created by MiningService::Submit/Mine only.
-  MineJob(MineRequest request, double deadline_seconds);
+  /// Jobs are created by MiningService::Submit/Mine only. A positive
+  /// `execution.deadline_seconds` arms the cancel token here.
+  explicit MineJob(const v2::MineRequest& request);
 
   /// Marks the transition into training/searching (worker-side).
   void SetPhase(Phase phase);
   /// Publishes the terminal response and wakes waiters.
-  void Complete(MineResponse response);
+  void Complete(v2::MineResponse response);
   /// Moves the response out (single-owner fast path for blocking Mine).
-  MineResponse TakeResponse();
+  v2::MineResponse TakeResponse();
 
   /// Nanoseconds since created_at_ (monotonic offset for the phase
   /// timestamps below).
   int64_t NowNs() const;
 
-  std::unique_ptr<MineRequest> request_;
+  /// The job's own copy of the request; the worker validates and
+  /// normalizes it in place.
+  std::unique_ptr<v2::MineRequest> request_;
   CancelSource cancel_;
   SearchProgress search_progress_;
   std::atomic<Phase> phase_{Phase::kQueued};
@@ -145,7 +152,7 @@ class MineJob {
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
-  std::unique_ptr<MineResponse> response_;  // set exactly once, at kDone
+  std::unique_ptr<v2::MineResponse> response_;  // set exactly once, at kDone
   /// Completion timestamp (epoch default = not yet done).
   std::chrono::steady_clock::time_point completed_at_{};
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "api/api_v2.h"
 #include "dist/cluster_evaluator.h"
 #include "dist/worker_pool.h"
 #include "ml/grid_search.h"
@@ -18,7 +17,6 @@ MiningService::MiningService(Options options)
     : options_(options),
       pool_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
                                      : options.num_threads),
-      scheduler_(&pool_),
       cache_(options.cache),
       traces_(options.trace_ring_capacity) {
   if (!options_.cluster_workers.empty()) {
@@ -86,7 +84,7 @@ std::vector<std::string> MiningService::dataset_names() const {
 }
 
 StatusOr<const MiningService::NamedDataset*> MiningService::ResolveRequest(
-    const MineRequest& request) const {
+    const v2::MineRequest& request) const {
   const NamedDataset* named = nullptr;
   {
     std::lock_guard<std::mutex> lock(datasets_mu_);
@@ -98,33 +96,38 @@ StatusOr<const MiningService::NamedDataset*> MiningService::ResolveRequest(
                             "' not registered");
   }
   const Dataset* data = named->data.get();
-  if (request.statistic.region_cols.empty()) {
+  const Statistic& statistic = request.query.statistic;
+  if (statistic.region_cols.empty()) {
     return Status::InvalidArgument("statistic has no region columns");
   }
-  for (size_t c : request.statistic.region_cols) {
+  for (size_t c : statistic.region_cols) {
     if (c >= data->num_cols()) {
       return Status::InvalidArgument("region column out of range");
     }
   }
-  if (request.statistic.needs_value_column() &&
-      (request.statistic.value_col < 0 ||
-       static_cast<size_t>(request.statistic.value_col) >=
-           data->num_cols())) {
+  if (statistic.needs_value_column() &&
+      (statistic.value_col < 0 ||
+       static_cast<size_t>(statistic.value_col) >= data->num_cols())) {
     return Status::InvalidArgument("value column out of range");
   }
   return named;
 }
 
+SurrogateKey MiningService::MakeKey(const v2::MineRequest& request,
+                                    const NamedDataset& named) {
+  SurrogateKey key;
+  key.dataset = named.fingerprint;  // cached at registration
+  key.statistic = FingerprintStatistic(request.query.statistic);
+  key.workload = FingerprintWorkloadParams(request.training.workload);
+  key.model = FingerprintTrainOptions(request.training.surrogate);
+  return key;
+}
+
 StatusOr<SurrogateKey> MiningService::KeyFor(
-    const MineRequest& request) const {
+    const v2::MineRequest& request) const {
   auto named = ResolveRequest(request);
   if (!named.ok()) return named.status();
-  SurrogateKey key;
-  key.dataset = (*named)->fingerprint;  // cached at registration
-  key.statistic = FingerprintStatistic(request.statistic);
-  key.workload = FingerprintWorkloadParams(request.workload);
-  key.model = FingerprintTrainOptions(request.surrogate);
-  return key;
+  return MakeKey(request, **named);
 }
 
 size_t MiningService::shared_evaluator_slots() const {
@@ -133,10 +136,11 @@ size_t MiningService::shared_evaluator_slots() const {
 }
 
 std::shared_ptr<const RegionEvaluator> MiningService::SharedEvaluator(
-    const MineRequest& request, const NamedDataset& named) {
-  const EvaluatorKey key{named.fingerprint, request.backend,
-                         std::max<size_t>(request.shards, 1),
-                         FingerprintStatistic(request.statistic)};
+    const v2::MineRequest& request, const NamedDataset& named) {
+  const v2::ExecutionPolicy& execution = request.execution;
+  const EvaluatorKey key{named.fingerprint, execution.backend,
+                         std::max<size_t>(execution.shards, 1),
+                         FingerprintStatistic(request.query.statistic)};
   std::lock_guard<std::mutex> lock(evaluators_mu_);
   auto it = evaluators_.find(key);
   if (it != evaluators_.end()) {
@@ -145,19 +149,22 @@ std::shared_ptr<const RegionEvaluator> MiningService::SharedEvaluator(
   std::erase_if(evaluators_,
                 [](const auto& slot) { return slot.second.expired(); });
   std::shared_ptr<const RegionEvaluator> built =
-      MakeEvaluator(request.backend, named.data.get(), request.statistic,
-                    request.shards);
+      MakeEvaluator(execution.backend, named.data.get(),
+                    request.query.statistic, execution.shards);
   evaluators_[key] = built;
   return built;
 }
 
 StatusOr<TrainedSurrogate> MiningService::TrainEntry(
-    const MineRequest& request, const NamedDataset& named, CancelToken cancel,
-    TraceContext* trace) {
+    const v2::MineRequest& request, const NamedDataset& named,
+    CancelToken cancel, TraceContext* trace) {
   SURF_FAILPOINT("serve.train");
   const Dataset* data = named.data.get();
+  const Statistic& statistic = request.query.statistic;
+  const WorkloadParams& workload_params = request.training.workload;
+  const SurrogateTrainOptions& surrogate_options = request.training.surrogate;
   std::shared_ptr<const RegionEvaluator> evaluator;
-  if (request.cluster) {
+  if (request.execution.cluster) {
     // Cluster mode swaps only the exact back-end: labelling and
     // validation scatter to the remote workers, everything downstream
     // (training, cache, search) is byte-for-byte the in-process path.
@@ -168,15 +175,16 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     dist::ClusterEvaluator::Options cluster_options;
     cluster_options.dataset = request.dataset;
     cluster_options.fingerprint = named.fingerprint;
-    cluster_options.num_shards = request.shards >= 2 ? request.shards : 0;
+    const size_t shards = request.execution.shards;
+    cluster_options.num_shards = shards >= 2 ? shards : 0;
     evaluator = std::make_shared<const dist::ClusterEvaluator>(
-        cluster_pool_.get(), request.statistic, std::move(cluster_options));
+        cluster_pool_.get(), statistic, std::move(cluster_options));
   } else {
     evaluator = SharedEvaluator(request, named);
   }
-  const Bounds domain = data->ComputeBounds(request.statistic.region_cols);
+  const Bounds domain = data->ComputeBounds(statistic.region_cols);
   const RegionWorkload workload =
-      GenerateWorkload(*evaluator, domain, request.workload, cancel, trace);
+      GenerateWorkload(*evaluator, domain, workload_params, cancel, trace);
   if (cancel.cancelled()) return cancel.ToStatus();
   if (workload.size() == 0) {
     return Status::FailedPrecondition(
@@ -190,7 +198,7 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
   // Surrogate::Train records its own kTraining stage span, so the
   // service adds none here (nesting two would double-count the stage).
   auto surrogate =
-      Surrogate::Train(workload, request.surrogate, nullptr, cancel, trace);
+      Surrogate::Train(workload, surrogate_options, nullptr, cancel, trace);
   if (!surrogate.ok()) return surrogate.status();
 
   TrainedSurrogate trained;
@@ -203,8 +211,8 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
   trained.kde = [&] {
     TraceSpan span(trace, "kde_fit", TraceStage::kTraining);
     return std::make_shared<const Kde>(FitDataKde(
-        *data, request.statistic.region_cols, options_.kde_max_samples,
-        request.workload.seed + 1, cancel));
+        *data, statistic.region_cols, options_.kde_max_samples,
+        workload_params.seed + 1, cancel));
   }();
   if (cancel.cancelled()) return cancel.ToStatus();
 
@@ -213,20 +221,18 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     trained.cv_rmse = CrossValidatedRmse(
         workload.features, workload.targets,
         trained.surrogate.metrics().chosen_params,
-        options_.provenance_cv_folds, request.surrogate.seed);
+        options_.provenance_cv_folds, surrogate_options.seed);
   }
   return trained;
 }
 
 StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
-    const MineRequest& request, CancelToken cancel, bool* was_hit,
+    const v2::MineRequest& request, CancelToken cancel, bool* was_hit,
     TraceContext* trace) {
   auto named = ResolveRequest(request);
   if (!named.ok()) return named.status();
-  auto key = KeyFor(request);
-  if (!key.ok()) return key.status();
   return cache_.GetOrTrain(
-      *key,
+      MakeKey(request, **named),
       [&]() -> StatusOr<TrainedSurrogate> {
         // The single-flight leader absorbs transient training failures
         // under the configured retry policy (off by default); waiters
@@ -246,13 +252,13 @@ StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
       was_hit, cancel);
 }
 
-std::shared_ptr<MineJob> MiningService::MakeJob(const MineRequest& request,
-                                                double deadline_seconds) {
-  return std::shared_ptr<MineJob>(new MineJob(request, deadline_seconds));
+std::shared_ptr<MineJob> MiningService::MakeJob(
+    const v2::MineRequest& request) {
+  return std::shared_ptr<MineJob>(new MineJob(request));
 }
 
 void MiningService::RunJob(const std::shared_ptr<MineJob>& job) {
-  MineResponse response;
+  v2::MineResponse response;
   TraceContext* trace = job->trace_.get();
   {
     // The root span must close on every return path before the trace is
@@ -268,18 +274,19 @@ void MiningService::RunJob(const std::shared_ptr<MineJob>& job) {
 }
 
 void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
-                               TraceContext* trace, MineResponse* out) {
+                               TraceContext* trace, v2::MineResponse* out) {
   Stopwatch timer;
-  const MineRequest& request = job->request();
   const CancelToken cancel = job->cancel_token();
-  MineResponse& response = *out;
+  v2::MineResponse& response = *out;
 
-  // The shared v2 validation path (also rejects record_evaluations
-  // without validate — satellite of the v2 redesign).
-  if (Status valid = v2::ValidateLegacy(request); !valid.ok()) {
+  // Validated once, in place, on the job's own copy of the request.
+  if (Status valid = v2::ValidateAndNormalize(job->request_.get());
+      !valid.ok()) {
     response.status = std::move(valid);
     return;
   }
+  const v2::MineRequest& request = *job->request_;
+  const v2::ExecutionPolicy& execution = request.execution;
 
   job->SetPhase(MineJob::Phase::kTraining);
   bool hit = false;
@@ -294,18 +301,20 @@ void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
   const size_t dims = snap.surrogate->dims();
   job->SetPhase(MineJob::Phase::kSearching);
 
-  if (request.mode == MineRequest::Mode::kTopK) {
-    TopKConfig config = request.topk;
+  if (request.query.kind == v2::QueryKind::kTopK) {
+    TopKConfig config = request.search.topk;
     // Same §V-G swarm-size floor as the threshold path, gated by the
-    // same opt-out (request.finder.auto_scale_gso).
-    if (request.finder.auto_scale_gso) {
+    // same opt-out (search.finder.auto_scale_gso).
+    if (request.search.finder.auto_scale_gso) {
       config.gso.num_glowworms =
           std::max(config.gso.num_glowworms,
                    GsoParams::PaperScaled(dims).num_glowworms);
     }
     TopKFinder finder(snap.surrogate->AsStatisticFn(), snap.space, config);
     finder.SetBatchEstimate(snap.surrogate->AsBatchStatisticFn());
-    if (request.use_kde && snap.kde != nullptr) finder.SetKde(snap.kde.get());
+    if (execution.use_kde && snap.kde != nullptr) {
+      finder.SetKde(snap.kde.get());
+    }
     finder.SetCancelToken(cancel);
     finder.SetProgress(&job->search_progress_);
     finder.SetTrace(trace);
@@ -314,7 +323,7 @@ void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
       response.status = Status::Cancelled("mining cancelled mid-search");
     }
   } else {
-    FinderConfig config = request.finder;
+    FinderConfig config = request.search.finder;
     if (config.auto_scale_gso) {
       config.gso.num_glowworms =
           std::max(config.gso.num_glowworms,
@@ -322,19 +331,22 @@ void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
     }
     SurfFinder finder(snap.surrogate->AsStatisticFn(), snap.space, config);
     finder.SetBatchEstimate(snap.surrogate->AsBatchStatisticFn());
-    if (request.use_kde && snap.kde != nullptr) finder.SetKde(snap.kde.get());
-    if (request.validate && snap.evaluator != nullptr) {
+    if (execution.use_kde && snap.kde != nullptr) {
+      finder.SetKde(snap.kde.get());
+    }
+    if (execution.validate && snap.evaluator != nullptr) {
       finder.SetValidator(snap.evaluator.get());
     }
     finder.SetCancelToken(cancel);
     finder.SetProgress(&job->search_progress_);
     finder.SetTrace(trace);
-    response.result = finder.Find(request.threshold, request.direction);
+    response.result =
+        finder.Find(request.query.threshold, request.query.direction);
     if (response.result.report.cancelled) {
       // Partial results and provenance ride along with the Cancelled
       // status; feedback recording is skipped for cancelled searches.
       response.status = Status::Cancelled("mining cancelled mid-search");
-    } else if (request.record_evaluations && request.validate) {
+    } else if (execution.record_evaluations && execution.validate) {
       RegionWorkload fresh;
       fresh.space = snap.space;
       fresh.statistic = snap.surrogate->statistic();
@@ -364,29 +376,17 @@ void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
   response.total_seconds = timer.ElapsedSeconds();
 }
 
-MineResponse MiningService::Mine(const MineRequest& request) {
-  // Blocking form: the same job core, run inline on the calling thread
-  // (never re-queued onto the pool — MineBatch workers call Mine, and a
-  // worker blocking on a job queued behind itself would deadlock).
-  auto job = MakeJob(request, /*deadline_seconds=*/0.0);
+v2::MineResponse MiningService::Mine(const v2::MineRequest& request) {
+  // The job core runs inline on the calling thread, never re-queued onto
+  // the pool: a pool worker blocking on a job queued behind itself would
+  // deadlock.
+  auto job = MakeJob(request);
   RunJob(job);
   return job->TakeResponse();
 }
 
-v2::MineResponse MiningService::Mine(const v2::MineRequest& request) {
-  auto job = MakeJob(v2::ToLegacy(request),
-                     request.execution.deadline_seconds);
-  RunJob(job);
-  return v2::FromLegacyResponse(job->TakeResponse());
-}
-
-std::shared_ptr<MineJob> MiningService::Submit(const MineRequest& request) {
-  return Schedule(MakeJob(request, /*deadline_seconds=*/0.0));
-}
-
 std::shared_ptr<MineJob> MiningService::Submit(const v2::MineRequest& request) {
-  return Schedule(
-      MakeJob(v2::ToLegacy(request), request.execution.deadline_seconds));
+  return Schedule(MakeJob(request));
 }
 
 std::shared_ptr<MineJob> MiningService::Schedule(
@@ -406,16 +406,6 @@ std::shared_ptr<MineJob> MiningService::Schedule(
   return job;
 }
 
-std::vector<MineResponse> MiningService::MineBatch(
-    const std::vector<MineRequest>& requests) {
-  std::vector<std::function<MineResponse()>> jobs;
-  jobs.reserve(requests.size());
-  for (const MineRequest& request : requests) {
-    jobs.push_back([this, request] { return Mine(request); });
-  }
-  return scheduler_.RunAll<MineResponse>(std::move(jobs));
-}
-
 std::vector<v2::MineResponse> MiningService::MineBatch(
     const std::vector<v2::MineRequest>& requests) {
   std::vector<std::shared_ptr<MineJob>> jobs;
@@ -427,17 +417,17 @@ std::vector<v2::MineResponse> MiningService::MineBatch(
   responses.reserve(jobs.size());
   for (auto& job : jobs) {
     job->Wait();
-    responses.push_back(v2::FromLegacyResponse(job->TakeResponse()));
+    responses.push_back(job->TakeResponse());
   }
   return responses;
 }
 
-Status MiningService::AppendEvaluations(const MineRequest& request,
+Status MiningService::AppendEvaluations(v2::MineRequest request,
                                         const RegionWorkload& fresh) {
-  // Same shared validation the mining entry points run: this path can
-  // train a cache entry too, so an unvalidated request (bad shard
-  // count, empty workload recipe, ...) must be rejected here as well.
-  if (Status valid = v2::ValidateLegacy(request); !valid.ok()) return valid;
+  // Same validation the job core runs: this path can train a cache
+  // entry too, so an unvalidated request (bad shard count, empty
+  // workload recipe, ...) must be rejected here as well.
+  SURF_RETURN_IF_ERROR(v2::ValidateAndNormalize(&request));
   bool hit = false;
   auto entry = EntryFor(request, CancelToken(), &hit, /*trace=*/nullptr);
   if (!entry.ok()) return entry.status();

@@ -10,11 +10,11 @@
 #include <tuple>
 #include <vector>
 
+#include "api/api_v2.h"
 #include "core/finder.h"
 #include "core/surf.h"
 #include "core/topk.h"
 #include "serve/mine_job.h"
-#include "serve/scheduler.h"
 #include "serve/surrogate_cache.h"
 #include "util/cancel.h"
 #include "util/retry.h"
@@ -23,95 +23,9 @@
 
 namespace surf {
 
-namespace v2 {
-struct MineRequest;
-struct MineResponse;
-}  // namespace v2
-
 namespace dist {
 class WorkerPool;
 }  // namespace dist
-
-/// \brief One mining request against a registered dataset.
-///
-/// The tuple (dataset, statistic, workload, surrogate) forms the
-/// surrogate-cache key; everything else — threshold, direction, finder
-/// knobs, top-k settings — is per-request search configuration evaluated
-/// against the shared read-only model.
-struct MineRequest {
-  /// Name the dataset was registered under.
-  std::string dataset;
-  /// The statistic f whose interesting regions are sought.
-  Statistic statistic;
-
-  /// The user's cut-off value y_R (paper Problem 1).
-  double threshold = 0.0;
-  /// Which side of the threshold is interesting.
-  ThresholdDirection direction = ThresholdDirection::kAbove;
-
-  /// \brief Query formulation.
-  enum class Mode {
-    /// Regions whose statistic crosses `threshold` (paper Problem 1).
-    kThreshold,
-    /// The k highest-statistic regions (§VI's alternative formulation).
-    kTopK,
-  };
-  /// Threshold query (default) vs. k-highest-statistic query.
-  Mode mode = Mode::kThreshold;
-  /// Top-k settings (used when mode == kTopK).
-  TopKConfig topk;
-
-  /// Per-request GSO/extraction knobs.
-  FinderConfig finder;
-  /// Training-workload recipe — part of the cache key.
-  WorkloadParams workload;
-  /// Surrogate training recipe — part of the cache key.
-  SurrogateTrainOptions surrogate;
-  /// Which exact back-end labels the workload and validates results.
-  BackendKind backend = BackendKind::kGridIndex;
-  /// Row-range shards for the exact back-end (execution policy, like
-  /// `backend` — not part of the cache key). 1 = the single `backend`
-  /// evaluator; >= 2 = the shard-parallel scan backend.
-  size_t shards = 1;
-  /// Distributed execution: scatter workload labelling and validation
-  /// to the service's configured remote workers (`shards` when >= 2
-  /// sets the partition's shard count, else one shard per worker).
-  /// FailedPrecondition when the service has no cluster workers.
-  bool cluster = false;
-
-  /// Fit/use the KDE data prior (Eq. 8 guidance).
-  bool use_kde = true;
-  /// Validate reported regions against the true statistic.
-  bool validate = true;
-  /// Feed validated (region, true value) pairs back into the cache
-  /// entry's pending workload, so repeated traffic warms the next
-  /// incremental retrain. Requires `validate`.
-  bool record_evaluations = false;
-  /// Record a hierarchical span trace of the request's pipeline stages
-  /// and attach it to the response (also retained for `/v1/trace/{id}`
-  /// export). Tracing never changes mining results.
-  bool trace = false;
-};
-
-/// \brief One mining response.
-struct MineResponse {
-  /// Request outcome; `result`/`topk` are meaningful only when OK.
-  Status status = Status::OK();
-  /// Threshold-mode result.
-  FindResult result;
-  /// Top-k-mode result.
-  TopKResult topk;
-  /// Whether an already-resident surrogate served this request.
-  bool cache_hit = false;
-  /// Declared pedigree of the model that served the request.
-  SurrogateProvenance provenance;
-  /// End-to-end request wall-time (training share included on misses).
-  double total_seconds = 0.0;
-  /// Span trace of the request's pipeline stages; non-null only when
-  /// the request asked for tracing (MineRequest::trace). Shared with the
-  /// service's trace ring, so the response copy stays cheap.
-  std::shared_ptr<const TraceContext> trace;
-};
 
 /// \brief Persistent multi-query region-mining service (the deployment
 /// story of paper §V-D: "models will be trained once and successively
@@ -130,9 +44,10 @@ struct MineResponse {
 /// threaded cooperatively through surrogate training, KDE fitting, and
 /// the GSO iteration loops — a cancelled or deadline-exceeded request
 /// stops computing within one iteration and completes with
-/// Status::Cancelled plus partial results. The blocking Mine/MineBatch
-/// are thin wrappers that run the same job core inline. Every entry
-/// point funnels through the shared v2 validation path (api/api_v2.h).
+/// Status::Cancelled plus partial results. The blocking Mine runs the
+/// same job core inline; MineBatch fans out through Submit. Requests and
+/// responses are the api/api_v2.h structs throughout, and the job core
+/// validates each request once, on the job's own copy.
 class MiningService {
  public:
   /// \brief Service configuration.
@@ -195,45 +110,36 @@ class MiningService {
   /// Registered dataset names, sorted.
   std::vector<std::string> dataset_names() const;
 
-  /// Serves one request synchronously on the calling thread (a thin
-  /// wrapper over the async job core: the job runs inline rather than on
-  /// the pool, so Mine stays safe to call from pool workers). Thread-safe;
-  /// any number of Mine calls may run concurrently.
-  MineResponse Mine(const MineRequest& request);
-
-  /// Serves one v2 request synchronously, honouring
+  /// Serves one request synchronously on the calling thread (the job
+  /// core runs inline rather than on the pool), honouring
   /// `execution.deadline_seconds` (Cancelled with partial results when it
-  /// expires mid-request).
+  /// expires mid-request). Thread-safe; any number of Mine calls may run
+  /// concurrently.
   v2::MineResponse Mine(const v2::MineRequest& request);
 
   /// Submits a request for asynchronous execution on the worker pool and
-  /// returns its job handle (Wait/TryGet/Cancel/progress). The handle
-  /// may be dropped; the job still runs to completion (or cancellation).
-  std::shared_ptr<MineJob> Submit(const MineRequest& request);
-
-  /// v2 Submit: as above, plus the request's deadline arms the job's
-  /// cancel token at submission time (queue wait counts against it).
+  /// returns its job handle (Wait/TryGet/Cancel/progress). The request's
+  /// deadline arms the job's cancel token at submission time (queue wait
+  /// counts against it). The handle may be dropped; the job still runs
+  /// to completion (or cancellation).
   std::shared_ptr<MineJob> Submit(const v2::MineRequest& request);
 
-  /// Serves a batch concurrently over the worker pool; responses are in
-  /// request order.
-  std::vector<MineResponse> MineBatch(const std::vector<MineRequest>& requests);
-
-  /// v2 batch: fans the requests out as deadline-armed jobs (each
-  /// entry's `execution.deadline_seconds` is honoured) and waits for
-  /// all; responses are in request order. Must not be called from a
-  /// pool worker (it blocks on pool-scheduled jobs).
+  /// Fans the requests out as deadline-armed jobs (each entry's
+  /// `execution.deadline_seconds` is honoured) and waits for all;
+  /// responses are in request order. Must not be called from a pool
+  /// worker (it blocks on pool-scheduled jobs).
   std::vector<v2::MineResponse> MineBatch(
       const std::vector<v2::MineRequest>& requests);
 
   /// Appends externally observed region evaluations to the cache entry
   /// `request` keys to (training it first if absent). Past the configured
-  /// retrain threshold this triggers the warm-start swap.
-  Status AppendEvaluations(const MineRequest& request,
+  /// retrain threshold this triggers the warm-start swap. The request
+  /// runs through ValidateAndNormalize first, like every mining request.
+  Status AppendEvaluations(v2::MineRequest request,
                            const RegionWorkload& fresh);
 
   /// Cache-key derivation for a request (exposed for tests/tools).
-  StatusOr<SurrogateKey> KeyFor(const MineRequest& request) const;
+  StatusOr<SurrogateKey> KeyFor(const v2::MineRequest& request) const;
 
   /// The surrogate cache (for stats, Peek, Clear).
   SurrogateCache& cache() { return cache_; }
@@ -257,10 +163,15 @@ class MiningService {
     uint64_t fingerprint = 0;
   };
 
-  /// Validates the request against the dataset; returns the registry
-  /// entry (stable address).
+  /// Looks up the request's dataset and range-checks its statistic's
+  /// columns; returns the registry entry (stable address).
   StatusOr<const NamedDataset*> ResolveRequest(
-      const MineRequest& request) const;
+      const v2::MineRequest& request) const;
+
+  /// The cache key of `request` over its already-resolved dataset (no
+  /// second registry lookup).
+  static SurrogateKey MakeKey(const v2::MineRequest& request,
+                              const NamedDataset& named);
 
   /// The in-process exact back-end for `request`. Cache entries over the
   /// same (dataset, backend, shards, statistic) share one instance — the
@@ -268,13 +179,13 @@ class MiningService {
   /// holds one grid per statistic, not one per entry. The map keeps
   /// weak references: the evaluator dies with the last entry using it.
   std::shared_ptr<const RegionEvaluator> SharedEvaluator(
-      const MineRequest& request, const NamedDataset& named);
+      const v2::MineRequest& request, const NamedDataset& named);
 
   /// Trains a cache entry for `request` (runs on a miss, outside the
   /// cache lock). `cancel` threads through workload labelling, KDE
   /// fitting, and GBRT boosting rounds; `trace` (nullable) records
   /// workload_gen/labelling/training spans.
-  StatusOr<TrainedSurrogate> TrainEntry(const MineRequest& request,
+  StatusOr<TrainedSurrogate> TrainEntry(const v2::MineRequest& request,
                                         const NamedDataset& named,
                                         CancelToken cancel,
                                         TraceContext* trace);
@@ -285,31 +196,30 @@ class MiningService {
   /// spans land in `trace` only when this call becomes the single-flight
   /// leader (waiters' traces simply lack them).
   StatusOr<std::shared_ptr<CachedSurrogate>> EntryFor(
-      const MineRequest& request, CancelToken cancel, bool* was_hit,
+      const v2::MineRequest& request, CancelToken cancel, bool* was_hit,
       TraceContext* trace);
 
-  /// Creates the job object for a request (not yet scheduled).
-  std::shared_ptr<MineJob> MakeJob(const MineRequest& request,
-                                   double deadline_seconds);
+  /// Creates the job object for a request (not yet scheduled); the job
+  /// owns its copy of the request.
+  static std::shared_ptr<MineJob> MakeJob(const v2::MineRequest& request);
 
   /// Registers the job for shutdown cancellation and enqueues it on the
   /// pool.
   std::shared_ptr<MineJob> Schedule(std::shared_ptr<MineJob> job);
 
-  /// The one mining core every entry point funnels into: shared v2
-  /// validation, surrogate resolution, cancellable search, terminal
-  /// response publication on the job.
+  /// The one mining core every entry point funnels into: validation of
+  /// the job's request, surrogate resolution, cancellable search,
+  /// terminal response publication on the job.
   void RunJob(const std::shared_ptr<MineJob>& job);
 
   /// RunJob's body under the root trace span: fills `*response`
   /// (without completing the job) so every return path closes the span
   /// before the trace is published.
   void ExecuteJob(const std::shared_ptr<MineJob>& job, TraceContext* trace,
-                  MineResponse* response);
+                  v2::MineResponse* response);
 
   Options options_;
   ThreadPool pool_;
-  RequestScheduler scheduler_;
   SurrogateCache cache_;
   TraceRing traces_;
   /// Remote workers for cluster-mode requests; null when

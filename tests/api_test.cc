@@ -1,11 +1,12 @@
-// Tests for the versioned API surface (src/api): v2 <-> legacy request
-// conversions, the shared validation path, version/build info, and the
-// v2 JSON codec.
+// Tests for the versioned API surface (src/api): the shared validation
+// path, version/build info, the v2 JSON codec, and the decode-time
+// translation of flat v1 documents into v2::MineRequest.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "api/api.h"
 #include "api/api_v2.h"
@@ -36,36 +37,6 @@ v2::MineRequest SampleV2() {
   return request;
 }
 
-// ------------------------------------------------------------ conversions
-
-TEST(ApiV2Test, LegacyRoundTripIsLossless) {
-  const v2::MineRequest original = SampleV2();
-  const MineRequest legacy = v2::ToLegacy(original);
-  const v2::MineRequest back = v2::FromLegacy(legacy);
-
-  // Compare through the legacy JSON encoder: it writes every field, so
-  // equal documents mean equal requests (the deadline intentionally
-  // lives outside the legacy form).
-  EXPECT_EQ(WriteJson(MineRequestToJson(legacy)),
-            WriteJson(MineRequestToJson(v2::ToLegacy(back))));
-  EXPECT_EQ(back.api_version, kApiMinVersion);
-  EXPECT_EQ(back.dataset, original.dataset);
-  EXPECT_EQ(back.query.threshold, original.query.threshold);
-  EXPECT_EQ(back.execution.record_evaluations,
-            original.execution.record_evaluations);
-}
-
-TEST(ApiV2Test, ConversionPreservesCacheKeyRecipes) {
-  const v2::MineRequest request = SampleV2();
-  const MineRequest legacy = v2::ToLegacy(request);
-  EXPECT_EQ(FingerprintWorkloadParams(request.training.workload),
-            FingerprintWorkloadParams(legacy.workload));
-  EXPECT_EQ(FingerprintTrainOptions(request.training.surrogate),
-            FingerprintTrainOptions(legacy.surrogate));
-  EXPECT_EQ(FingerprintStatistic(request.query.statistic),
-            FingerprintStatistic(legacy.statistic));
-}
-
 // ------------------------------------------------------------- validation
 
 TEST(ApiV2Test, ValidationAcceptsDefaults) {
@@ -83,12 +54,6 @@ TEST(ApiV2Test, ValidationRejectsRecordEvaluationsWithoutValidate) {
   request.execution.validate = false;
   const Status status = v2::ValidateAndNormalize(&request);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-
-  // The same combination through the legacy lift is rejected too (the
-  // v1 service silently ignored it).
-  MineRequest legacy = v2::ToLegacy(request);
-  EXPECT_EQ(v2::ValidateLegacy(legacy).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ApiV2Test, ValidationRejectsMalformedRequests) {
@@ -157,25 +122,6 @@ TEST(ApiV2CodecTest, V2JsonRoundTrips) {
   EXPECT_EQ(WriteJson(MineRequestV2ToJson(*decoded)), WriteJson(encoded));
 }
 
-TEST(ApiV2CodecTest, LegacyDocumentsDecodeThroughV2EntryPoint) {
-  MineRequest legacy;
-  legacy.dataset = "d";
-  legacy.statistic = Statistic::Count({0, 1});
-  legacy.threshold = 9.0;
-  legacy.workload.num_queries = 500;
-
-  // A v1 flat document (no api_version) decodes identically through the
-  // v2 entry point and the legacy decoder.
-  const JsonValue doc = MineRequestToJson(legacy);
-  auto via_v2 = MineRequestV2FromJson(doc);
-  ASSERT_TRUE(via_v2.ok()) << via_v2.status().ToString();
-  EXPECT_EQ(via_v2->api_version, 1);
-  auto via_v1 = MineRequestFromJson(doc);
-  ASSERT_TRUE(via_v1.ok());
-  EXPECT_EQ(WriteJson(MineRequestToJson(v2::ToLegacy(*via_v2))),
-            WriteJson(MineRequestToJson(*via_v1)));
-}
-
 TEST(ApiV2CodecTest, UnsupportedApiVersionRejected) {
   JsonValue doc = JsonValue::Object();
   doc.Set("api_version", JsonValue(7.0));
@@ -196,14 +142,203 @@ TEST(ApiV2CodecTest, V2DocumentRejectsInvalidCombination) {
 
   // The same combination in a v1 flat document is rejected at decode
   // time too — both schemas share the validation path.
-  MineRequest legacy;
-  legacy.dataset = "d";
-  legacy.statistic = Statistic::Count({0});
-  legacy.record_evaluations = true;
-  legacy.validate = false;
-  auto decoded_v1 = MineRequestV2FromJson(MineRequestToJson(legacy));
+  auto v1 = ParseJson(R"({"dataset": "d", "statistic": {"region_cols": [0]},
+                          "record_evaluations": true, "validate": false})");
+  ASSERT_TRUE(v1.ok());
+  auto decoded_v1 = MineRequestV2FromJson(*v1);
   EXPECT_FALSE(decoded_v1.ok());
   EXPECT_EQ(decoded_v1.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------- v1 translation
+
+/// Resolves the column names of dataset "d" (x, y, v); everything else
+/// is unknown.
+int ResolveColumn(const std::string& dataset, const std::string& column) {
+  if (dataset != "d") return -1;
+  if (column == "x") return 0;
+  if (column == "y") return 1;
+  if (column == "v") return 2;
+  return -1;
+}
+
+/// A literal flat v1 document and its hand-written v2 twin.
+struct V1Twin {
+  const char* name;
+  const char* v1;
+  const char* v2;
+};
+
+const std::vector<V1Twin>& V1Twins() {
+  static const std::vector<V1Twin> twins = {
+      {"minimal",
+       R"({"dataset": "d", "statistic": {"kind": "count",
+           "region_cols": [0, 1]}, "threshold": 9})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"kind": "count", "region_cols": [0, 1]}, "threshold": 9}})"},
+      {"direction",
+       R"({"dataset": "d", "statistic": {"kind": "avg", "region_cols": [0],
+           "value_col": 2}, "threshold": -3.25, "direction": "below"})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"kind": "avg", "region_cols": [0], "value_col": 2},
+           "threshold": -3.25, "direction": "below"}})"},
+      {"mode_topk",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "mode": "topk", "topk": {"k": 4, "c": 0.5, "nms_max_iou": 0.2,
+           "gso": {"max_iterations": 33, "seed": 5}}})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}, "kind": "topk"}, "search": {"topk":
+           {"k": 4, "c": 0.5, "nms_max_iou": 0.2,
+           "gso": {"max_iterations": 33, "seed": 5}}}})"},
+      {"finder",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "finder": {"c": 2.5, "max_regions": 7, "auto_scale_gso": false,
+           "use_kde_guidance": false, "use_log_objective": true,
+           "gso": {"num_glowworms": 40, "step_frac": 0.01}}})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "search": {"finder": {"c": 2.5,
+           "max_regions": 7, "auto_scale_gso": false,
+           "use_kde_guidance": false, "use_log_objective": true,
+           "gso": {"num_glowworms": 40, "step_frac": 0.01}}}})"},
+      {"workload",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "workload": {"num_queries": 1234, "min_length_frac": 0.05,
+           "drop_undefined": false, "seed": 9}})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "training": {"workload":
+           {"num_queries": 1234, "min_length_frac": 0.05,
+           "drop_undefined": false, "seed": 9}}})"},
+      {"surrogate",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "surrogate": {"gbrt": {"n_estimators": 55, "max_depth": 3,
+           "learning_rate": 0.2}, "hypertune": true,
+           "grid": {"max_depths": [2, 4]}, "cv_folds": 3, "seed": 11}})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "training": {"surrogate": {"gbrt":
+           {"n_estimators": 55, "max_depth": 3, "learning_rate": 0.2},
+           "hypertune": true, "grid": {"max_depths": [2, 4]},
+           "cv_folds": 3, "seed": 11}}})"},
+      {"backend_shards",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "backend": "kd_tree", "shards": 4})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution": {"backend": "kd_tree",
+           "shards": 4}})"},
+      {"shards_zero_normalizes",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "shards": 0})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution": {"shards": 1}})"},
+      {"cluster",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "cluster": true})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution": {"cluster": true}})"},
+      {"use_kde_validate",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "use_kde": false, "validate": false})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution": {"use_kde": false,
+           "validate": false}})"},
+      {"record_evaluations",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "record_evaluations": true})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution":
+           {"record_evaluations": true}})"},
+      {"trace",
+       R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+           "trace": true})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [0, 1]}}, "execution": {"trace": true}})"},
+      {"named_columns",
+       R"({"dataset": "d", "statistic": {"kind": "sum",
+           "region_cols": ["x", "y"], "value_col": "v"}})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"kind": "sum", "region_cols": [0, 1], "value_col": 2}}})"},
+      {"explicit_api_version_1",
+       R"({"api_version": 1, "dataset": "d",
+           "statistic": {"region_cols": [1]}, "threshold": 2})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"region_cols": [1]}, "threshold": 2}})"},
+      {"every_field",
+       R"({"dataset": "d", "statistic": {"kind": "variance",
+           "region_cols": ["y", "x"], "value_col": "v"}, "threshold": 1.5,
+           "direction": "below", "mode": "topk", "topk": {"k": 2},
+           "finder": {"c": 3}, "workload": {"num_queries": 300},
+           "surrogate": {"gbrt": {"n_estimators": 20}},
+           "backend": "rtree", "shards": 8, "cluster": true,
+           "use_kde": false, "validate": true, "record_evaluations": true,
+           "trace": true})",
+       R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+           {"kind": "variance", "region_cols": [1, 0], "value_col": 2},
+           "kind": "topk", "threshold": 1.5, "direction": "below"},
+           "search": {"finder": {"c": 3}, "topk": {"k": 2}},
+           "training": {"workload": {"num_queries": 300},
+           "surrogate": {"gbrt": {"n_estimators": 20}}},
+           "execution": {"backend": "rtree", "shards": 8, "cluster": true,
+           "use_kde": false, "validate": true, "record_evaluations": true,
+           "trace": true}})"},
+  };
+  return twins;
+}
+
+TEST(V1TranslationTest, FlatDocumentsDecodeLikeTheirV2Twins) {
+  const ColumnResolver resolver = ResolveColumn;
+  for (const V1Twin& twin : V1Twins()) {
+    SCOPED_TRACE(twin.name);
+    auto v1_json = ParseJson(twin.v1);
+    auto v2_json = ParseJson(twin.v2);
+    ASSERT_TRUE(v1_json.ok() && v2_json.ok());
+    auto from_v1 = MineRequestV2FromJson(*v1_json, &resolver);
+    auto from_v2 = MineRequestV2FromJson(*v2_json, &resolver);
+    ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+    ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+    EXPECT_EQ(from_v1->api_version, 1);
+    EXPECT_EQ(from_v2->api_version, 2);
+    // Identical apart from the schema version they arrived in.
+    from_v1->api_version = from_v2->api_version;
+    EXPECT_EQ(WriteJson(MineRequestV2ToJson(*from_v1)),
+              WriteJson(MineRequestV2ToJson(*from_v2)));
+  }
+}
+
+TEST(V1TranslationTest, RejectionsKeepTheirMessages) {
+  const ColumnResolver resolver = ResolveColumn;
+  const struct {
+    const char* doc;
+    const char* message;
+  } cases[] = {
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "mode": "bogus"})",
+       "unknown mode 'bogus' (threshold|topk)"},
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "direction": "sideways"})",
+       "unknown direction 'sideways' (above|below)"},
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "backend": "btree"})",
+       "unknown backend 'btree' (scan|grid_index|kd_tree|rtree)"},
+      {R"({"statistic": {"region_cols": [0]}})",
+       "field 'dataset' is required"},
+      {R"({"dataset": "", "statistic": {"region_cols": [0]}})",
+       "field 'dataset' is required"},
+      {R"({"dataset": "d", "statistic": {"region_cols": []}})",
+       "statistic.region_cols must name at least one column"},
+      {R"({"dataset": "d", "statistic": {"region_cols": ["nope"]}})",
+       "unknown column 'nope' in dataset 'd'"},
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "workload": {"num_queries": 0}})",
+       "training.workload.num_queries must be >= 1"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.doc);
+    auto json = ParseJson(c.doc);
+    ASSERT_TRUE(json.ok());
+    auto decoded = MineRequestV2FromJson(*json, &resolver);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message(), c.message);
+  }
 }
 
 // ------------------------------------------------------ cancelled status

@@ -33,27 +33,28 @@ SyntheticDataset DensityData(size_t dims, size_t k, uint64_t seed = 42) {
 }
 
 /// A request with a small (fast) training recipe and quick search.
-MineRequest SmallRequest(const std::string& dataset_name, double threshold) {
-  MineRequest request;
+v2::MineRequest SmallRequest(const std::string& dataset_name,
+                             double threshold) {
+  v2::MineRequest request;
   request.dataset = dataset_name;
-  request.statistic = Statistic::Count({0, 1});
-  request.threshold = threshold;
-  request.workload.num_queries = 800;
-  request.surrogate.gbrt.n_estimators = 30;
-  request.surrogate.gbrt.max_depth = 4;
-  request.finder.gso.max_iterations = 25;
-  request.finder.gso.num_glowworms = 60;
-  request.finder.auto_scale_gso = false;
+  request.query.statistic = Statistic::Count({0, 1});
+  request.query.threshold = threshold;
+  request.training.workload.num_queries = 800;
+  request.training.surrogate.gbrt.n_estimators = 30;
+  request.training.surrogate.gbrt.max_depth = 4;
+  request.search.finder.gso.max_iterations = 25;
+  request.search.finder.gso.num_glowworms = 60;
+  request.search.finder.auto_scale_gso = false;
   return request;
 }
 
 /// Same cache key as SmallRequest, but a search long enough to cancel:
 /// convergence disabled and a huge iteration budget.
-MineRequest LongSearchRequest(const std::string& dataset_name,
-                              double threshold) {
-  MineRequest request = SmallRequest(dataset_name, threshold);
-  request.finder.gso.max_iterations = 200000;
-  request.finder.gso.convergence_tol_frac = 0.0;
+v2::MineRequest LongSearchRequest(const std::string& dataset_name,
+                                  double threshold) {
+  v2::MineRequest request = SmallRequest(dataset_name, threshold);
+  request.search.finder.gso.max_iterations = 200000;
+  request.search.finder.gso.convergence_tol_frac = 0.0;
   return request;
 }
 
@@ -76,12 +77,12 @@ class JobsTest : public ::testing::Test {
 // ------------------------------------------------------------ Submit/Wait
 
 TEST_F(JobsTest, SubmitWaitMatchesBlockingMineBitIdentically) {
-  const MineRequest request = SmallRequest("d", 400.0);
-  const MineResponse blocking = service().Mine(request);
+  const v2::MineRequest request = SmallRequest("d", 400.0);
+  const v2::MineResponse blocking = service().Mine(request);
   ASSERT_TRUE(blocking.status.ok()) << blocking.status.ToString();
 
   auto job = service().Submit(request);
-  const MineResponse& async = job->Wait();
+  const v2::MineResponse& async = job->Wait();
   ASSERT_TRUE(async.status.ok()) << async.status.ToString();
   EXPECT_TRUE(async.cache_hit);  // the blocking call trained the entry
 
@@ -99,16 +100,16 @@ TEST_F(JobsTest, SubmitWaitMatchesBlockingMineBitIdentically) {
   EXPECT_TRUE(job->done());
   EXPECT_EQ(job->progress().phase, MineJob::Phase::kDone);
 
-  MineResponse polled;
+  v2::MineResponse polled;
   EXPECT_TRUE(job->TryGet(&polled));
   EXPECT_TRUE(polled.status.ok());
 }
 
 TEST_F(JobsTest, ValidationRunsOnEveryEntryPoint) {
-  MineRequest request = SmallRequest("d", 400.0);
-  request.record_evaluations = true;
-  request.validate = false;
-  const MineResponse blocking = service().Mine(request);
+  v2::MineRequest request = SmallRequest("d", 400.0);
+  request.execution.record_evaluations = true;
+  request.execution.validate = false;
+  const v2::MineResponse blocking = service().Mine(request);
   EXPECT_EQ(blocking.status.code(), StatusCode::kInvalidArgument);
 
   auto job = service().Submit(request);
@@ -130,7 +131,7 @@ TEST_F(JobsTest, CancelMidSearchStopsWithinAnIterationWithPartials) {
 
   Stopwatch timer;
   job->Cancel();
-  const MineResponse& response = job->Wait();
+  const v2::MineResponse& response = job->Wait();
   const double cancel_latency = timer.ElapsedSeconds();
 
   EXPECT_EQ(response.status.code(), StatusCode::kCancelled);
@@ -147,13 +148,13 @@ TEST_F(JobsTest, CancelMidSearchStopsWithinAnIterationWithPartials) {
 
 TEST_F(JobsTest, CancelAfterCompletionIsHarmlessNoOp) {
   auto job = service().Submit(SmallRequest("d", 400.0));
-  const MineResponse& response = job->Wait();
+  const v2::MineResponse& response = job->Wait();
   ASSERT_TRUE(response.status.ok());
   const size_t regions = response.result.regions.size();
 
   job->Cancel();  // must not disturb the published response
   EXPECT_TRUE(job->done());
-  MineResponse after;
+  v2::MineResponse after;
   ASSERT_TRUE(job->TryGet(&after));
   EXPECT_TRUE(after.status.ok());
   EXPECT_EQ(after.result.regions.size(), regions);
@@ -164,8 +165,7 @@ TEST_F(JobsTest, DeadlineExceededReturnsCancelled) {
   // Warm the cache; the deadline should then bite mid-search.
   ASSERT_TRUE(service().Mine(SmallRequest("d", 400.0)).status.ok());
 
-  v2::MineRequest request = v2::FromLegacy(LongSearchRequest("d", 400.0));
-  request.api_version = 2;
+  v2::MineRequest request = LongSearchRequest("d", 400.0);
   request.execution.deadline_seconds = 0.15;
   Stopwatch timer;
   const v2::MineResponse response = service().Mine(request);
@@ -177,10 +177,10 @@ TEST_F(JobsTest, DeadlineExceededReturnsCancelled) {
 TEST_F(JobsTest, CancelDuringTrainingAbortsPromptly) {
   // A fresh key with an expensive fit: cancellation must land between
   // boosting rounds, well before the full training completes.
-  MineRequest request = SmallRequest("d", 400.0);
-  request.workload.num_queries = 4000;
-  request.surrogate.gbrt.n_estimators = 4000;
-  request.surrogate.gbrt.max_depth = 6;
+  v2::MineRequest request = SmallRequest("d", 400.0);
+  request.training.workload.num_queries = 4000;
+  request.training.surrogate.gbrt.n_estimators = 4000;
+  request.training.surrogate.gbrt.max_depth = 6;
 
   auto job = service().Submit(request);
   for (int i = 0; i < 2000 &&
@@ -190,7 +190,7 @@ TEST_F(JobsTest, CancelDuringTrainingAbortsPromptly) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   job->Cancel();
-  const MineResponse& response = job->Wait();
+  const v2::MineResponse& response = job->Wait();
   EXPECT_EQ(response.status.code(), StatusCode::kCancelled);
 }
 
@@ -201,10 +201,10 @@ TEST_F(JobsTest, CancelledTrainingLeaderDoesNotStrandWaiters) {
   // blocking waiters share its in-flight training. The waiters (whose
   // own tokens never fire) must not be stranded: one takes over as the
   // new leader and every waiter ends OK.
-  MineRequest request = SmallRequest("d", 400.0);
-  request.workload.num_queries = 4000;
-  request.surrogate.gbrt.n_estimators = 1500;
-  request.surrogate.gbrt.max_depth = 6;
+  v2::MineRequest request = SmallRequest("d", 400.0);
+  request.training.workload.num_queries = 4000;
+  request.training.surrogate.gbrt.n_estimators = 1500;
+  request.training.surrogate.gbrt.max_depth = 6;
 
   auto leader = service().Submit(request);
   for (int i = 0; i < 2000 &&
@@ -215,7 +215,7 @@ TEST_F(JobsTest, CancelledTrainingLeaderDoesNotStrandWaiters) {
 
   constexpr size_t kWaiters = 3;
   std::vector<std::thread> threads;
-  std::vector<MineResponse> responses(kWaiters);
+  std::vector<v2::MineResponse> responses(kWaiters);
   for (size_t i = 0; i < kWaiters; ++i) {
     threads.emplace_back([this, &request, &responses, i] {
       responses[i] = service().Mine(request);
@@ -226,7 +226,7 @@ TEST_F(JobsTest, CancelledTrainingLeaderDoesNotStrandWaiters) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   leader->Cancel();
 
-  const MineResponse& leader_response = leader->Wait();
+  const v2::MineResponse& leader_response = leader->Wait();
   for (auto& t : threads) t.join();
 
   // The leader may have been cancelled mid-training (Cancelled) or may
@@ -241,7 +241,7 @@ TEST_F(JobsTest, CancelledTrainingLeaderDoesNotStrandWaiters) {
     EXPECT_GT(responses[i].provenance.training_set_size, 0u);
   }
   // The entry is usable afterwards regardless of who trained it.
-  const MineResponse after = service().Mine(request);
+  const v2::MineResponse after = service().Mine(request);
   EXPECT_TRUE(after.status.ok());
   EXPECT_TRUE(after.cache_hit);
 }
@@ -249,13 +249,12 @@ TEST_F(JobsTest, CancelledTrainingLeaderDoesNotStrandWaiters) {
 TEST_F(JobsTest, CancelledWaitersObserveCancelled) {
   // Waiters whose own token has fired must *not* take over: they
   // observe Cancelled.
-  MineRequest request = SmallRequest("d", 400.0);
-  request.workload.num_queries = 4000;
-  request.surrogate.gbrt.n_estimators = 1500;
-  request.surrogate.gbrt.max_depth = 6;
+  v2::MineRequest request = SmallRequest("d", 400.0);
+  request.training.workload.num_queries = 4000;
+  request.training.surrogate.gbrt.n_estimators = 1500;
+  request.training.surrogate.gbrt.max_depth = 6;
 
-  v2::MineRequest with_deadline = v2::FromLegacy(request);
-  with_deadline.api_version = 2;
+  v2::MineRequest with_deadline = request;
   with_deadline.execution.deadline_seconds = 120.0;
 
   auto leader = service().Submit(with_deadline);
@@ -271,11 +270,11 @@ TEST_F(JobsTest, CancelledWaitersObserveCancelled) {
   leader->Cancel();
   // Neither job may hang, and the only legal non-OK outcome is
   // Cancelled (OK means the fit finished before the token was seen).
-  const MineResponse& leader_response = leader->Wait();
+  const v2::MineResponse& leader_response = leader->Wait();
   EXPECT_TRUE(leader_response.status.ok() ||
               leader_response.status.code() == StatusCode::kCancelled)
       << leader_response.status.ToString();
-  const MineResponse& waiter_response = waiter->Wait();
+  const v2::MineResponse& waiter_response = waiter->Wait();
   EXPECT_TRUE(waiter_response.status.ok() ||
               waiter_response.status.code() == StatusCode::kCancelled)
       << waiter_response.status.ToString();
@@ -378,7 +377,7 @@ TEST(JobTableTest, LiveJobsAreNeverAgeEvicted) {
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
 
-  v2::MineRequest slow = v2::FromLegacy(SmallRequest("d", 400.0));
+  v2::MineRequest slow = SmallRequest("d", 400.0);
   slow.execution.deadline_seconds = 30.0;
   auto job = service.Submit(slow);
   const std::string id = table.Add(job);

@@ -1,7 +1,8 @@
 // Tests for the JSON layer of the network front-end: the util/json
 // parser/writer and the net/json_codec wire codecs. The codec contract
-// under test is the satellite of ISSUE 3: MineRequest → JSON →
-// MineRequest round-trips losslessly (including every nested recipe),
+// under test: v2::MineRequest → JSON → v2::MineRequest round-trips
+// losslessly (including every nested recipe), flat v1 documents decode
+// through the same entry point,
 // provenance fields survive with bit fidelity, NaN/Inf never leak into
 // documents, and malformed/fuzzed input returns InvalidArgument instead
 // of crashing.
@@ -204,112 +205,145 @@ TEST(JsonParse, FuzzedInputNeverCrashes) {
 // ------------------------------------------------------- net/json_codec
 
 /// Builds a request with every field moved off its default, pseudo-randomly
-/// per `seed` — the property-test generator.
-MineRequest RandomizedRequest(uint64_t seed) {
+/// per `seed` — the property-test generator. Always valid (the decoder
+/// runs ValidateAndNormalize), so record_evaluations implies validate.
+v2::MineRequest RandomizedRequest(uint64_t seed) {
   Rng rng(seed);
-  MineRequest r;
+  v2::MineRequest r;
   r.dataset = "ds_" + std::to_string(rng.UniformInt(1000));
-  r.statistic.kind = static_cast<StatisticKind>(rng.UniformInt(6));
-  r.statistic.region_cols = {rng.UniformInt(4), 4 + rng.UniformInt(4)};
-  r.statistic.value_col = static_cast<int>(rng.UniformInt(8));
-  r.statistic.label_value = rng.Uniform(-5, 5);
-  r.threshold = rng.Gaussian(500, 200);
-  r.direction = rng.Bernoulli(0.5) ? ThresholdDirection::kAbove
-                                   : ThresholdDirection::kBelow;
-  r.mode = rng.Bernoulli(0.5) ? MineRequest::Mode::kThreshold
-                              : MineRequest::Mode::kTopK;
-  r.topk.k = 1 + rng.UniformInt(9);
-  r.topk.c = rng.Uniform(0.1, 2.0);
-  r.topk.nms_max_iou = rng.Uniform();
-  r.topk.gso.num_glowworms = 10 + rng.UniformInt(300);
-  r.topk.gso.seed = rng.UniformInt(1 << 30);
-  r.finder.c = rng.Uniform(0.5, 8.0);
-  r.finder.auto_scale_gso = rng.Bernoulli(0.5);
-  r.finder.use_log_objective = rng.Bernoulli(0.5);
-  r.finder.nms_max_iou = rng.Uniform();
-  r.finder.max_regions = 1 + rng.UniformInt(31);
-  r.finder.use_kde_guidance = rng.Bernoulli(0.5);
-  r.finder.use_kde_seeding = rng.Bernoulli(0.5);
-  r.finder.gso.max_iterations = 10 + rng.UniformInt(200);
-  r.finder.gso.luciferin_decay = rng.Uniform();
-  r.finder.gso.luciferin_gain = rng.Uniform();
-  r.finder.gso.initial_radius_frac = rng.Uniform();
-  r.finder.gso.step_frac = rng.Uniform(0.001, 0.1);
-  r.finder.gso.kde_seeded_fraction = rng.Uniform();
-  r.finder.gso.kde_mass_guidance = rng.Bernoulli(0.5);
-  r.finder.gso.exploration_restart_prob = rng.Uniform();
-  r.finder.gso.desired_neighbors = 1 + rng.UniformInt(10);
-  r.finder.gso.seed = rng.UniformInt(1 << 30);
-  r.workload.num_queries = 100 + rng.UniformInt(100000);
-  r.workload.min_length_frac = rng.Uniform(0.001, 0.05);
-  r.workload.max_length_frac = rng.Uniform(0.05, 0.4);
-  r.workload.drop_undefined = rng.Bernoulli(0.5);
-  r.workload.seed = rng.UniformInt(1 << 30);
-  r.surrogate.gbrt.learning_rate = rng.Uniform(0.001, 0.5);
-  r.surrogate.gbrt.n_estimators = 50 + rng.UniformInt(400);
-  r.surrogate.gbrt.max_depth = 2 + rng.UniformInt(10);
-  r.surrogate.gbrt.reg_lambda = rng.Uniform(0.0001, 2.0);
-  r.surrogate.gbrt.subsample = rng.Uniform(0.5, 1.0);
-  r.surrogate.gbrt.colsample = rng.Uniform(0.5, 1.0);
-  r.surrogate.gbrt.max_bins = 16 + rng.UniformInt(240);
-  r.surrogate.gbrt.seed = rng.UniformInt(1 << 30);
-  r.surrogate.hypertune = rng.Bernoulli(0.3);
-  r.surrogate.grid.learning_rates = {rng.Uniform(0.01, 0.2)};
-  r.surrogate.grid.max_depths = {2 + rng.UniformInt(8),
-                                 2 + rng.UniformInt(8)};
-  r.surrogate.cv_folds = 2 + rng.UniformInt(4);
-  r.surrogate.test_fraction = rng.Uniform(0.1, 0.4);
-  r.surrogate.seed = rng.UniformInt(1 << 30);
-  r.backend = static_cast<BackendKind>(rng.UniformInt(4));
-  r.use_kde = rng.Bernoulli(0.5);
-  r.validate = rng.Bernoulli(0.5);
-  r.record_evaluations = rng.Bernoulli(0.5);
+  Statistic& stat = r.query.statistic;
+  stat.kind = static_cast<StatisticKind>(rng.UniformInt(6));
+  stat.region_cols = {rng.UniformInt(4), 4 + rng.UniformInt(4)};
+  stat.value_col = static_cast<int>(rng.UniformInt(8));
+  stat.label_value = rng.Uniform(-5, 5);
+  r.query.threshold = rng.Gaussian(500, 200);
+  r.query.direction = rng.Bernoulli(0.5) ? ThresholdDirection::kAbove
+                                         : ThresholdDirection::kBelow;
+  r.query.kind = rng.Bernoulli(0.5) ? v2::QueryKind::kThreshold
+                                    : v2::QueryKind::kTopK;
+  TopKConfig& topk = r.search.topk;
+  topk.k = 1 + rng.UniformInt(9);
+  topk.c = rng.Uniform(0.1, 2.0);
+  topk.nms_max_iou = rng.Uniform();
+  topk.gso.num_glowworms = 10 + rng.UniformInt(300);
+  topk.gso.seed = rng.UniformInt(1 << 30);
+  FinderConfig& finder = r.search.finder;
+  finder.c = rng.Uniform(0.5, 8.0);
+  finder.auto_scale_gso = rng.Bernoulli(0.5);
+  finder.use_log_objective = rng.Bernoulli(0.5);
+  finder.nms_max_iou = rng.Uniform();
+  finder.max_regions = 1 + rng.UniformInt(31);
+  finder.use_kde_guidance = rng.Bernoulli(0.5);
+  finder.use_kde_seeding = rng.Bernoulli(0.5);
+  finder.gso.max_iterations = 10 + rng.UniformInt(200);
+  finder.gso.luciferin_decay = rng.Uniform();
+  finder.gso.luciferin_gain = rng.Uniform();
+  finder.gso.initial_radius_frac = rng.Uniform();
+  finder.gso.step_frac = rng.Uniform(0.001, 0.1);
+  finder.gso.kde_seeded_fraction = rng.Uniform();
+  finder.gso.kde_mass_guidance = rng.Bernoulli(0.5);
+  finder.gso.exploration_restart_prob = rng.Uniform();
+  finder.gso.desired_neighbors = 1 + rng.UniformInt(10);
+  finder.gso.seed = rng.UniformInt(1 << 30);
+  WorkloadParams& workload = r.training.workload;
+  workload.num_queries = 100 + rng.UniformInt(100000);
+  workload.min_length_frac = rng.Uniform(0.001, 0.05);
+  workload.max_length_frac = rng.Uniform(0.05, 0.4);
+  workload.drop_undefined = rng.Bernoulli(0.5);
+  workload.seed = rng.UniformInt(1 << 30);
+  SurrogateTrainOptions& surrogate = r.training.surrogate;
+  surrogate.gbrt.learning_rate = rng.Uniform(0.001, 0.5);
+  surrogate.gbrt.n_estimators = 50 + rng.UniformInt(400);
+  surrogate.gbrt.max_depth = 2 + rng.UniformInt(10);
+  surrogate.gbrt.reg_lambda = rng.Uniform(0.0001, 2.0);
+  surrogate.gbrt.subsample = rng.Uniform(0.5, 1.0);
+  surrogate.gbrt.colsample = rng.Uniform(0.5, 1.0);
+  surrogate.gbrt.max_bins = 16 + rng.UniformInt(240);
+  surrogate.gbrt.seed = rng.UniformInt(1 << 30);
+  surrogate.hypertune = rng.Bernoulli(0.3);
+  surrogate.grid.learning_rates = {rng.Uniform(0.01, 0.2)};
+  surrogate.grid.max_depths = {2 + rng.UniformInt(8), 2 + rng.UniformInt(8)};
+  surrogate.cv_folds = 2 + rng.UniformInt(4);
+  surrogate.test_fraction = rng.Uniform(0.1, 0.4);
+  surrogate.seed = rng.UniformInt(1 << 30);
+  v2::ExecutionPolicy& execution = r.execution;
+  execution.backend = static_cast<BackendKind>(rng.UniformInt(4));
+  execution.shards = 1 + rng.UniformInt(64);
+  execution.cluster = rng.Bernoulli(0.5);
+  execution.use_kde = rng.Bernoulli(0.5);
+  execution.record_evaluations = rng.Bernoulli(0.5);
+  execution.validate = execution.record_evaluations || rng.Bernoulli(0.5);
+  execution.deadline_seconds = rng.Uniform(0.0, 30.0);
+  execution.trace = rng.Bernoulli(0.5);
   return r;
 }
 
+/// A valid flat v1 document with every top-level field present — the v1
+/// seed of the fuzz test.
+constexpr const char* kFullV1Document = R"({
+  "dataset": "d",
+  "statistic": {"kind": "avg", "region_cols": [0, 1], "value_col": 2,
+                "label_value": 1},
+  "threshold": 12.5, "direction": "below", "mode": "topk",
+  "topk": {"k": 3, "c": 0.8, "nms_max_iou": 0.3,
+           "gso": {"num_glowworms": 50, "seed": 4}},
+  "finder": {"c": 2, "max_regions": 5, "gso": {"max_iterations": 40}},
+  "workload": {"num_queries": 500, "seed": 3},
+  "surrogate": {"gbrt": {"n_estimators": 30}, "cv_folds": 3},
+  "backend": "scan", "shards": 2, "cluster": false, "use_kde": true,
+  "validate": true, "record_evaluations": false, "trace": false})";
+
 TEST(MineRequestCodec, RoundTripIsLossless) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
-    const MineRequest original = RandomizedRequest(seed);
-    const JsonValue encoded = MineRequestToJson(original);
-    auto decoded = MineRequestFromJson(encoded);
+    const v2::MineRequest original = RandomizedRequest(seed);
+    const JsonValue encoded = MineRequestV2ToJson(original);
+    auto decoded = MineRequestV2FromJson(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
 
     // Lossless: re-encoding the decoded request reproduces the document
     // byte-for-byte (the writer is deterministic), so no field was
     // dropped, defaulted, or rounded.
-    EXPECT_EQ(WriteJson(MineRequestToJson(*decoded)), WriteJson(encoded))
+    EXPECT_EQ(WriteJson(MineRequestV2ToJson(*decoded)), WriteJson(encoded))
         << "seed " << seed;
 
     // Spot checks on semantically-critical fields.
     EXPECT_EQ(decoded->dataset, original.dataset);
-    EXPECT_EQ(decoded->mode, original.mode);
-    EXPECT_EQ(decoded->direction, original.direction);
-    EXPECT_EQ(decoded->threshold, original.threshold);
-    EXPECT_EQ(decoded->backend, original.backend);
-    EXPECT_EQ(decoded->finder.gso.seed, original.finder.gso.seed);
+    EXPECT_EQ(decoded->query.kind, original.query.kind);
+    EXPECT_EQ(decoded->query.direction, original.query.direction);
+    EXPECT_EQ(decoded->query.threshold, original.query.threshold);
+    EXPECT_EQ(decoded->execution.backend, original.execution.backend);
+    EXPECT_EQ(decoded->search.finder.gso.seed,
+              original.search.finder.gso.seed);
 
     // The cache key is derived from (statistic, workload, model recipe):
     // equal fingerprints mean an HTTP round trip targets the same cached
     // surrogate as the in-process request.
-    EXPECT_EQ(FingerprintStatistic(decoded->statistic),
-              FingerprintStatistic(original.statistic));
-    EXPECT_EQ(FingerprintWorkloadParams(decoded->workload),
-              FingerprintWorkloadParams(original.workload));
-    EXPECT_EQ(FingerprintTrainOptions(decoded->surrogate),
-              FingerprintTrainOptions(original.surrogate));
+    EXPECT_EQ(FingerprintStatistic(decoded->query.statistic),
+              FingerprintStatistic(original.query.statistic));
+    EXPECT_EQ(FingerprintWorkloadParams(decoded->training.workload),
+              FingerprintWorkloadParams(original.training.workload));
+    EXPECT_EQ(FingerprintTrainOptions(decoded->training.surrogate),
+              FingerprintTrainOptions(original.training.surrogate));
   }
 }
 
 TEST(MineRequestCodec, MinimalRequestUsesDefaults) {
-  auto decoded = MineRequestFromJson(*ParseJson(
-      R"({"dataset": "d", "statistic": {"region_cols": [0, 1]}})"));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const MineRequest defaults;
-  EXPECT_EQ(decoded->statistic.kind, StatisticKind::kCount);
-  EXPECT_EQ(decoded->mode, MineRequest::Mode::kThreshold);
-  EXPECT_EQ(decoded->workload.num_queries, defaults.workload.num_queries);
-  EXPECT_EQ(decoded->finder.max_regions, defaults.finder.max_regions);
-  EXPECT_EQ(decoded->use_kde, defaults.use_kde);
+  const v2::MineRequest defaults;
+  for (const char* text :
+       {R"({"dataset": "d", "statistic": {"region_cols": [0, 1]}})",
+        R"({"api_version": 2, "dataset": "d",
+            "query": {"statistic": {"region_cols": [0, 1]}}})"}) {
+    auto decoded = MineRequestV2FromJson(*ParseJson(text));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->query.statistic.kind, StatisticKind::kCount);
+    EXPECT_EQ(decoded->query.kind, v2::QueryKind::kThreshold);
+    EXPECT_EQ(decoded->training.workload.num_queries,
+              defaults.training.workload.num_queries);
+    EXPECT_EQ(decoded->search.finder.max_regions,
+              defaults.search.finder.max_regions);
+    EXPECT_EQ(decoded->execution.use_kde, defaults.execution.use_kde);
+    EXPECT_EQ(decoded->execution.shards, 1u);
+  }
 }
 
 TEST(MineRequestCodec, RejectsBadDocuments) {
@@ -337,11 +371,21 @@ TEST(MineRequestCodec, RejectsBadDocuments) {
           "value_col": -2}})",                          // only -1 is legal
       R"({"dataset": "d", "statistic": {"region_cols": [0]},
           "surrogate": {"grid": {"max_depths": [1e300]}}})",
+      // The same classes of error in the v2 named-section schema.
+      R"({"api_version": 2, "statistic": {"region_cols": [0]}})",
+      R"({"api_version": 2, "dataset": "d"})",
+      R"({"api_version": 2, "dataset": "d", "query": [1]})",
+      R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+          {"region_cols": [0]}, "kind": "bottomk"}})",
+      R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+          {"region_cols": [0]}}, "execution": {"shards": 1e9}})",
+      R"({"api_version": 3, "dataset": "d", "query": {"statistic":
+          {"region_cols": [0]}}})",
   };
   for (const char* text : cases) {
     auto json = ParseJson(text);
     ASSERT_TRUE(json.ok()) << text;
-    auto decoded = MineRequestFromJson(*json);
+    auto decoded = MineRequestV2FromJson(*json);
     ASSERT_FALSE(decoded.ok()) << "accepted: " << text;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
@@ -356,17 +400,21 @@ TEST(MineRequestCodec, ResolvesColumnNames) {
     if (column == "fare") return 7;
     return -1;
   };
-  auto decoded = MineRequestFromJson(
-      *ParseJson(R"({"dataset": "trips",
-                     "statistic": {"kind": "avg",
-                                   "region_cols": ["x", "y"],
-                                   "value_col": "fare"}})"),
-      &resolver);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->statistic.region_cols, (std::vector<size_t>{2, 5}));
-  EXPECT_EQ(decoded->statistic.value_col, 7);
+  for (const char* text :
+       {R"({"dataset": "trips",
+            "statistic": {"kind": "avg", "region_cols": ["x", "y"],
+                          "value_col": "fare"}})",
+        R"({"api_version": 2, "dataset": "trips", "query":
+            {"statistic": {"kind": "avg", "region_cols": ["x", "y"],
+                           "value_col": "fare"}}})"}) {
+    auto decoded = MineRequestV2FromJson(*ParseJson(text), &resolver);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->query.statistic.region_cols,
+              (std::vector<size_t>{2, 5}));
+    EXPECT_EQ(decoded->query.statistic.value_col, 7);
+  }
 
-  auto unknown = MineRequestFromJson(
+  auto unknown = MineRequestV2FromJson(
       *ParseJson(R"({"dataset": "trips",
                      "statistic": {"region_cols": ["nope"]}})"),
       &resolver);
@@ -419,7 +467,7 @@ TEST(ProvenanceCodec, FieldFidelity) {
 
 TEST(MineResponseCodec, RegionsRoundTripBitExactly) {
   Rng rng(31);
-  MineResponse response;
+  v2::MineResponse response;
   response.cache_hit = true;
   response.total_seconds = 0.125;
   response.provenance.dataset_fingerprint = rng.Next();
@@ -442,13 +490,14 @@ TEST(MineResponseCodec, RegionsRoundTripBitExactly) {
   response.result.report.converged = true;
   response.result.report.true_compliance = 0.75;
 
-  const std::string wire =
-      WriteJson(MineResponseToJson(response, MineRequest::Mode::kThreshold));
+  const std::string wire = WriteJson(
+      MineResponseV2ToJson(response, v2::QueryKind::kThreshold));
   auto parsed_json = ParseJson(wire);
   ASSERT_TRUE(parsed_json.ok());
   auto decoded = MineResponseFromJson(*parsed_json);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
 
+  EXPECT_EQ(decoded->api_version, 2);
   EXPECT_TRUE(decoded->status.ok());
   EXPECT_TRUE(decoded->cache_hit);
   EXPECT_EQ(decoded->provenance.dataset_fingerprint,
@@ -473,13 +522,19 @@ TEST(MineResponseCodec, RegionsRoundTripBitExactly) {
   EXPECT_EQ(decoded->result.report.converged, true);
 
   // Error statuses survive the wire too.
-  MineResponse failed;
+  v2::MineResponse failed;
   failed.status = Status::NotFound("dataset 'x' not registered");
   auto failed_back = MineResponseFromJson(*ParseJson(WriteJson(
-      MineResponseToJson(failed, MineRequest::Mode::kThreshold))));
+      MineResponseV2ToJson(failed, v2::QueryKind::kThreshold))));
   ASSERT_TRUE(failed_back.ok());
   EXPECT_EQ(failed_back->status.code(), StatusCode::kNotFound);
   EXPECT_EQ(failed_back->status.message(), "dataset 'x' not registered");
+
+  // A version stamp this build cannot speak is rejected, not truncated.
+  for (const char* text : {R"({"api_version": 3})",
+                           R"({"api_version": 4294967298})"}) {
+    EXPECT_FALSE(MineResponseFromJson(*ParseJson(text)).ok()) << text;
+  }
 }
 
 TEST(StatusMapping, LibraryCodesMapOntoHttp) {
@@ -778,51 +833,53 @@ TEST(ShardEvaluateCodec, ResponseRejectsBadDocuments) {
 }
 
 TEST(MineRequestCodec, ClusterFlagRoundTripsInBothSchemas) {
-  // v1 flat form.
-  MineRequest v1;
-  v1.dataset = "d";
-  v1.statistic = Statistic::Count({0, 1});
-  v1.cluster = true;
-  auto v1_back = MineRequestFromJson(*ParseJson(
-      WriteJson(MineRequestToJson(v1))));
-  ASSERT_TRUE(v1_back.ok());
-  EXPECT_TRUE(v1_back->cluster);
+  // v1 flat form: the top-level flag lands in the execution recipe.
+  auto from_v1 = MineRequestV2FromJson(*ParseJson(
+      R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+          "cluster": true})"));
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  EXPECT_TRUE(from_v1->execution.cluster);
   // Default stays false when the key is absent.
-  auto v1_default = MineRequestFromJson(*ParseJson(
+  auto v1_default = MineRequestV2FromJson(*ParseJson(
       R"({"dataset": "d", "statistic": {"region_cols": [0]}})"));
   ASSERT_TRUE(v1_default.ok());
-  EXPECT_FALSE(v1_default->cluster);
+  EXPECT_FALSE(v1_default->execution.cluster);
 
-  // v2 named-section form: execution.cluster, surviving both the codec
-  // and the v2 ↔ legacy bridge.
-  v2::MineRequest v2req = v2::FromLegacy(v1);
-  v2req.api_version = 2;
-  EXPECT_TRUE(v2req.execution.cluster);
+  // v2 named-section form: execution.cluster survives the codec.
+  v2::MineRequest request;
+  request.dataset = "d";
+  request.query.statistic = Statistic::Count({0, 1});
+  request.execution.cluster = true;
   auto v2_back = MineRequestV2FromJson(*ParseJson(
-      WriteJson(MineRequestV2ToJson(v2req))));
+      WriteJson(MineRequestV2ToJson(request))));
   ASSERT_TRUE(v2_back.ok()) << v2_back.status().ToString();
   EXPECT_TRUE(v2_back->execution.cluster);
-  EXPECT_TRUE(v2::ToLegacy(*v2_back).cluster);
 }
 
 TEST(MineRequestCodec, FuzzedDocumentsNeverCrash) {
-  // Structured fuzz: parse random mutations of a valid request document;
-  // whenever the JSON itself parses, the codec must return a clean
-  // status (either outcome), never crash.
-  const std::string valid = WriteJson(MineRequestToJson(RandomizedRequest(5)));
+  // Structured fuzz: parse random mutations of one valid document of each
+  // schema; whenever the JSON itself parses, the decoder must return a
+  // clean status (either outcome), never crash.
+  const std::string seeds[] = {
+      WriteJson(MineRequestV2ToJson(RandomizedRequest(5))),
+      kFullV1Document,
+  };
   Rng rng(99);
-  for (int i = 0; i < 2000; ++i) {
-    std::string input = valid;
-    const size_t edits = 1 + rng.UniformInt(8);
-    for (size_t e = 0; e < edits; ++e) {
-      input[rng.UniformInt(input.size())] =
-          static_cast<char>(rng.UniformInt(128));
-    }
-    auto json = ParseJson(input);
-    if (!json.ok()) continue;
-    auto decoded = MineRequestFromJson(*json);
-    if (!decoded.ok()) {
-      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  for (const std::string& valid : seeds) {
+    ASSERT_TRUE(MineRequestV2FromJson(*ParseJson(valid)).ok()) << valid;
+    for (int i = 0; i < 2000; ++i) {
+      std::string input = valid;
+      const size_t edits = 1 + rng.UniformInt(8);
+      for (size_t e = 0; e < edits; ++e) {
+        input[rng.UniformInt(input.size())] =
+            static_cast<char>(rng.UniformInt(128));
+      }
+      auto json = ParseJson(input);
+      if (!json.ok()) continue;
+      auto decoded = MineRequestV2FromJson(*json);
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 // Tests for the src/net HTTP front-end: transport behaviour of
 // HttpServer (admission control / 429, per-request deadlines / 408,
-// graceful drain) and the SurfHandler JSON API, including the ISSUE 3
-// acceptance check — a MineRequest served over loopback HTTP must yield
+// graceful drain) and the SurfHandler JSON API, including the HTTP
+// parity check — a MineRequest served over loopback HTTP must yield
 // regions bit-identical to the same request served in-process, and the
 // second HTTP request must be a cache hit with identical provenance.
 
@@ -166,16 +166,16 @@ SyntheticDataset MakeTestData() {
 /// The shared fast-mining recipe: small workload, short swarm, no
 /// per-iteration KDE integrals — keeps each train+mine well under a
 /// second on one core.
-MineRequest MakeTestRequest(const std::string& dataset,
-                            const std::vector<size_t>& region_cols) {
-  MineRequest request;
+v2::MineRequest MakeTestRequest(const std::string& dataset,
+                                const std::vector<size_t>& region_cols) {
+  v2::MineRequest request;
   request.dataset = dataset;
-  request.statistic = Statistic::Count(region_cols);
-  request.threshold = 800.0;
-  request.workload.num_queries = 800;
-  request.finder.gso.max_iterations = 30;
-  request.finder.use_kde_guidance = false;
-  request.surrogate.gbrt.n_estimators = 60;
+  request.query.statistic = Statistic::Count(region_cols);
+  request.query.threshold = 800.0;
+  request.training.workload.num_queries = 800;
+  request.search.finder.gso.max_iterations = 30;
+  request.search.finder.use_kde_guidance = false;
+  request.training.surrogate.gbrt.n_estimators = 60;
   return request;
 }
 
@@ -294,8 +294,8 @@ TEST(SurfHandlerTest, HttpMineMatchesInProcessBitExactly) {
                 .status,
             201);
 
-  const MineRequest request = MakeTestRequest("synth", ds.region_cols);
-  const std::string wire = WriteJson(MineRequestToJson(request));
+  const v2::MineRequest request = MakeTestRequest("synth", ds.region_cols);
+  const std::string wire = WriteJson(MineRequestV2ToJson(request));
 
   ClientResponse first = client.Request("POST", "/v1/mine", wire);
   ASSERT_EQ(first.status, 200) << first.body;
@@ -311,7 +311,7 @@ TEST(SurfHandlerTest, HttpMineMatchesInProcessBitExactly) {
   // bit with what came over the wire.
   MiningService local;
   ASSERT_TRUE(local.RegisterDataset("synth", ds.data).ok());
-  const MineResponse in_process = local.Mine(request);
+  const v2::MineResponse in_process = local.Mine(request);
   ASSERT_TRUE(in_process.status.ok()) << in_process.status.ToString();
 
   ASSERT_EQ(first_response->result.regions.size(),
@@ -371,9 +371,9 @@ TEST(SurfHandlerTest, BatchEndpointReportsPerRequestFailures) {
   JsonValue batch = JsonValue::Object();
   JsonValue requests = JsonValue::Array();
   requests.Append(
-      MineRequestToJson(MakeTestRequest("synth", ds.region_cols)));
+      MineRequestV2ToJson(MakeTestRequest("synth", ds.region_cols)));
   requests.Append(
-      MineRequestToJson(MakeTestRequest("missing", ds.region_cols)));
+      MineRequestV2ToJson(MakeTestRequest("missing", ds.region_cols)));
   batch.Set("requests", std::move(requests));
 
   ClientResponse response =
@@ -398,16 +398,17 @@ TEST(SurfHandlerTest, EvaluationsEndpointFeedsWarmStartPool) {
   TestClient client;
   ASSERT_TRUE(client.Connect(ts.server->port()));
 
-  const MineRequest request = MakeTestRequest("synth", ds.region_cols);
+  const v2::MineRequest request = MakeTestRequest("synth", ds.region_cols);
   ClientResponse mined =
-      client.Request("POST", "/v1/mine", WriteJson(MineRequestToJson(request)));
+      client.Request("POST", "/v1/mine",
+                     WriteJson(MineRequestV2ToJson(request)));
   ASSERT_EQ(mined.status, 200);
   auto mined_response = MineResponseFromJson(*ParseJson(mined.body));
   ASSERT_TRUE(mined_response.ok());
   ASSERT_FALSE(mined_response->result.regions.empty());
 
   JsonValue body = JsonValue::Object();
-  body.Set("request", MineRequestToJson(request));
+  body.Set("request", MineRequestV2ToJson(request));
   JsonValue evaluations = JsonValue::Array();
   for (const FoundRegion& r : mined_response->result.regions) {
     JsonValue e = JsonValue::Object();
@@ -432,7 +433,7 @@ TEST(SurfHandlerTest, EvaluationsEndpointFeedsWarmStartPool) {
 
   // Dimension mismatch is rejected before touching the cache entry.
   JsonValue bad = JsonValue::Object();
-  bad.Set("request", MineRequestToJson(request));
+  bad.Set("request", MineRequestV2ToJson(request));
   JsonValue bad_list = JsonValue::Array();
   JsonValue bad_entry = JsonValue::Object();
   bad_entry.Set("region", RegionToJson(Region({0.5}, {0.1})));
@@ -755,10 +756,11 @@ TEST(SurfHandlerTest, TraceRoundTripOverHttp) {
                 .status,
             201);
 
-  MineRequest request = MakeTestRequest("traced", {0, 1});
-  request.trace = true;
+  v2::MineRequest request = MakeTestRequest("traced", {0, 1});
+  request.execution.trace = true;
   ClientResponse mined =
-      client.Request("POST", "/v1/mine", WriteJson(MineRequestToJson(request)));
+      client.Request("POST", "/v1/mine",
+                     WriteJson(MineRequestV2ToJson(request)));
   ASSERT_EQ(mined.status, 200) << mined.body;
   auto mined_json = ParseJson(mined.body);
   ASSERT_TRUE(mined_json.ok());
@@ -794,7 +796,7 @@ TEST(SurfHandlerTest, TraceRoundTripOverHttp) {
   // An untraced request stays byte-compatible: no trace key at all.
   ClientResponse plain = client.Request(
       "POST", "/v1/mine",
-      WriteJson(MineRequestToJson(MakeTestRequest("traced", {0, 1}))));
+      WriteJson(MineRequestV2ToJson(MakeTestRequest("traced", {0, 1}))));
   ASSERT_EQ(plain.status, 200);
   auto plain_json = ParseJson(plain.body);
   ASSERT_TRUE(plain_json.ok());
@@ -841,7 +843,7 @@ TEST(SurfHandlerTest, JobProgressCarriesPhaseSeconds) {
 
   ClientResponse submitted = client.Request(
       "POST", "/v1/jobs",
-      WriteJson(MineRequestToJson(MakeTestRequest("phased", {0, 1}))));
+      WriteJson(MineRequestV2ToJson(MakeTestRequest("phased", {0, 1}))));
   ASSERT_EQ(submitted.status, 202) << submitted.body;
   auto submitted_json = ParseJson(submitted.body);
   ASSERT_TRUE(submitted_json.ok());
@@ -1424,7 +1426,105 @@ TEST(SurfHandlerTest, VersionEndpointReportsSchemaRange) {
   EXPECT_TRUE(parsed->Find("build")->is_object());
 }
 
-TEST(SurfHandlerTest, V2SchemaMatchesV1BitExactly) {
+// ------------------------------------------------ v1 bodies over HTTP
+
+/// MakeTestRequest("web", {0, 1}) written by hand in the flat v1 schema.
+constexpr const char* kV1WebBody = R"({
+  "dataset": "web",
+  "statistic": {"kind": "count", "region_cols": [0, 1]},
+  "threshold": 800,
+  "workload": {"num_queries": 800},
+  "finder": {"gso": {"max_iterations": 30}, "use_kde_guidance": false},
+  "surrogate": {"gbrt": {"n_estimators": 60}}})";
+
+/// The same request as a v2 body.
+std::string V2WebBody() {
+  return WriteJson(MineRequestV2ToJson(MakeTestRequest("web", {0, 1})));
+}
+
+/// Copy of `value` with every numeric member whose key ends in "seconds"
+/// zeroed — the only wall-clock fields of the mining answers.
+JsonValue BlankTimings(const JsonValue& value) {
+  if (value.is_array()) {
+    JsonValue out = JsonValue::Array();
+    for (const JsonValue& e : value.array()) out.Append(BlankTimings(e));
+    return out;
+  }
+  if (!value.is_object()) return value;
+  JsonValue out = JsonValue::Object();
+  for (const auto& [key, member] : value.members()) {
+    const bool timing = member.is_number() && key.size() >= 7 &&
+                        key.compare(key.size() - 7, 7, "seconds") == 0;
+    out.Set(key, timing ? JsonValue(0.0) : BlankTimings(member));
+  }
+  return out;
+}
+
+/// Sends `mine_body` to a mine-body endpoint of a fresh server holding
+/// the "web" dataset and returns "<status> <blanked answer>". For
+/// /v1/jobs the answer is the terminal poll; /v1/mine:batch and
+/// /v1/evaluations wrap the body in their envelopes.
+std::string AnswerOnFreshServer(const std::string& endpoint,
+                                const std::string& mine_body) {
+  TestServer ts;
+  EXPECT_TRUE(ts.start_status.ok());
+  EXPECT_TRUE(ts.service->RegisterDataset("web", MakeTestData().data).ok());
+  TestClient client;
+  EXPECT_TRUE(client.Connect(ts.server->port()));
+
+  std::string body = mine_body;
+  if (endpoint == "/v1/mine:batch") {
+    body = R"({"requests": [)" + mine_body + "]}";
+  } else if (endpoint == "/v1/evaluations") {
+    body = R"({"request": )" + mine_body +
+           R"(, "evaluations": [{"region": {"center": [0.5, 0.5],
+               "half_lengths": [0.1, 0.2]}, "value": 7}]})";
+  }
+  ClientResponse response = client.Request("POST", endpoint, body);
+  if (endpoint == "/v1/jobs") {
+    EXPECT_EQ(response.status, 202) << response.body;
+    auto submitted = ParseJson(response.body);
+    if (!submitted.ok()) return "bad submit";
+    const std::string id = submitted->Find("job_id")->string_value();
+    for (int i = 0; i < 30000; ++i) {
+      response = client.Request("GET", "/v1/jobs/" + id);
+      auto polled = ParseJson(response.body);
+      if (!polled.ok() || polled->Find("response") != nullptr) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  auto json = ParseJson(response.body);
+  if (!json.ok()) return std::to_string(response.status) + " unparsable";
+  return std::to_string(response.status) + " " +
+         WriteJson(BlankTimings(*json));
+}
+
+/// A literal v1 body and its v2 twin get byte-identical answers (timings
+/// blanked) from `endpoint`.
+void ExpectV1AnswersLikeV2(const std::string& endpoint) {
+  const std::string v1 = AnswerOnFreshServer(endpoint, kV1WebBody);
+  const std::string v2 = AnswerOnFreshServer(endpoint, V2WebBody());
+  EXPECT_EQ(v1.substr(0, 4), "200 ") << v1;
+  EXPECT_EQ(v1, v2);
+}
+
+TEST(SurfHandlerTest, V1BodyAnswersLikeV2OnMine) {
+  ExpectV1AnswersLikeV2("/v1/mine");
+}
+
+TEST(SurfHandlerTest, V1BodyAnswersLikeV2OnMineBatch) {
+  ExpectV1AnswersLikeV2("/v1/mine:batch");
+}
+
+TEST(SurfHandlerTest, V1BodyAnswersLikeV2OnJobs) {
+  ExpectV1AnswersLikeV2("/v1/jobs");
+}
+
+TEST(SurfHandlerTest, V1BodyAnswersLikeV2OnEvaluations) {
+  ExpectV1AnswersLikeV2("/v1/evaluations");
+}
+
+TEST(SurfHandlerTest, V1AndV2BodiesShareTheCacheEntry) {
   const SyntheticDataset ds = MakeTestData();
   TestServer ts;
   ASSERT_TRUE(ts.start_status.ok());
@@ -1432,47 +1532,37 @@ TEST(SurfHandlerTest, V2SchemaMatchesV1BitExactly) {
   TestClient client;
   ASSERT_TRUE(client.Connect(ts.server->port()));
 
-  const MineRequest legacy = MakeTestRequest("web", ds.region_cols);
-  ClientResponse v1 = client.Request("POST", "/v1/mine",
-                                     WriteJson(MineRequestToJson(legacy)));
+  ClientResponse v1 = client.Request("POST", "/v1/mine", kV1WebBody);
   ASSERT_EQ(v1.status, 200);
-
-  // The same request in the v2 named-section schema must mine the same
-  // regions (and hit the cache entry the v1 request trained).
-  const v2::MineRequest lifted = v2::FromLegacy(legacy);
-  v2::MineRequest as_v2 = lifted;
-  as_v2.api_version = 2;
-  ClientResponse v2_response = client.Request(
-      "POST", "/v1/mine", WriteJson(MineRequestV2ToJson(as_v2)));
+  // The same request in the v2 named-section schema hits the cache entry
+  // the v1 request trained and mines the same regions.
+  ClientResponse v2_response = client.Request("POST", "/v1/mine", V2WebBody());
   ASSERT_EQ(v2_response.status, 200);
-
   auto decoded_v1 = ParseJson(v1.body);
   auto decoded_v2 = ParseJson(v2_response.body);
   ASSERT_TRUE(decoded_v1.ok());
   ASSERT_TRUE(decoded_v2.ok());
+  EXPECT_FALSE(decoded_v1->Find("cache_hit")->bool_value());
   EXPECT_TRUE(decoded_v2->Find("cache_hit")->bool_value());
-  // Regions are bit-identical; the report matches too except for its
-  // wall-time measurement.
   EXPECT_EQ(WriteJson(*decoded_v1->Find("result")->Find("regions")),
             WriteJson(*decoded_v2->Find("result")->Find("regions")));
-  const JsonValue* report_v1 = decoded_v1->Find("result")->Find("report");
-  const JsonValue* report_v2 = decoded_v2->Find("result")->Find("report");
-  EXPECT_EQ(report_v1->Find("iterations")->number_value(),
-            report_v2->Find("iterations")->number_value());
-  EXPECT_EQ(report_v1->Find("objective_evaluations")->number_value(),
-            report_v2->Find("objective_evaluations")->number_value());
-  EXPECT_EQ(decoded_v2->Find("api_version")->number_value(), 2.0);
+  // Answers to v1 bodies carry the v2 envelope's version stamp.
+  EXPECT_EQ(decoded_v1->Find("api_version")->number_value(), 2.0);
 
   // record_evaluations without validate is rejected by the shared
-  // validation path in both schemas.
-  MineRequest bad = legacy;
-  bad.record_evaluations = true;
-  bad.validate = false;
-  EXPECT_EQ(client
-                .Request("POST", "/v1/mine",
-                         WriteJson(MineRequestToJson(bad)))
-                .status,
-            400);
+  // validation path in both schemas, with the same message.
+  v2::MineRequest bad = MakeTestRequest("web", {0, 1});
+  bad.execution.record_evaluations = true;
+  bad.execution.validate = false;
+  ClientResponse bad_v2 = client.Request(
+      "POST", "/v1/mine", WriteJson(MineRequestV2ToJson(bad)));
+  ClientResponse bad_v1 = client.Request(
+      "POST", "/v1/mine",
+      R"({"dataset": "web", "statistic": {"region_cols": [0, 1]},
+          "record_evaluations": true, "validate": false})");
+  EXPECT_EQ(bad_v2.status, 400);
+  EXPECT_EQ(bad_v1.status, 400);
+  EXPECT_EQ(bad_v1.body, bad_v2.body);
 }
 
 TEST(SurfHandlerTest, JobLifecycleSubmitPollCancel) {
@@ -1486,16 +1576,16 @@ TEST(SurfHandlerTest, JobLifecycleSubmitPollCancel) {
   // Warm the cache so the long job is all search.
   ASSERT_EQ(client
                 .Request("POST", "/v1/mine",
-                         WriteJson(MineRequestToJson(
+                         WriteJson(MineRequestV2ToJson(
                              MakeTestRequest("web", ds.region_cols))))
                 .status,
             200);
 
-  MineRequest slow = MakeTestRequest("web", ds.region_cols);
-  slow.finder.gso.max_iterations = 200000;
-  slow.finder.gso.convergence_tol_frac = 0.0;
+  v2::MineRequest slow = MakeTestRequest("web", ds.region_cols);
+  slow.search.finder.gso.max_iterations = 200000;
+  slow.search.finder.gso.convergence_tol_frac = 0.0;
   ClientResponse submitted = client.Request(
-      "POST", "/v1/jobs", WriteJson(MineRequestToJson(slow)));
+      "POST", "/v1/jobs", WriteJson(MineRequestV2ToJson(slow)));
   ASSERT_EQ(submitted.status, 202);
   auto submit_body = ParseJson(submitted.body);
   ASSERT_TRUE(submit_body.ok());
@@ -1554,9 +1644,7 @@ TEST(SurfHandlerTest, JobLifecycleSubmitPollCancel) {
 
 TEST(SurfHandlerTest, V2CodecRoundTripsExecutionShards) {
   const SyntheticDataset ds = MakeTestData();
-  v2::MineRequest request =
-      v2::FromLegacy(MakeTestRequest("web", ds.region_cols));
-  request.api_version = 2;
+  v2::MineRequest request = MakeTestRequest("web", ds.region_cols);
   request.execution.shards = 8;
 
   // Encode → decode: the shard count survives the wire.
@@ -1591,14 +1679,15 @@ TEST(SurfHandlerTest, V2CodecRoundTripsExecutionShards) {
       ParseJson(WriteJson(MineRequestV2ToJson(excessive))).value(), nullptr);
   EXPECT_FALSE(rejected.ok());
 
-  // The legacy flat schema carries the field too (v1 bodies without it
-  // keep the single-evaluator default).
-  MineRequest legacy = MakeTestRequest("web", ds.region_cols);
-  legacy.shards = 4;
-  auto legacy_decoded = MineRequestFromJson(
-      ParseJson(WriteJson(MineRequestToJson(legacy))).value(), nullptr);
-  ASSERT_TRUE(legacy_decoded.ok());
-  EXPECT_EQ(legacy_decoded->shards, 4u);
+  // The flat v1 schema carries the field at the top level (v1 bodies
+  // without it keep the single-evaluator default).
+  auto v1_decoded = MineRequestV2FromJson(
+      ParseJson(R"({"dataset": "web", "statistic": {"region_cols": [0, 1]},
+                    "shards": 4})")
+          .value(),
+      nullptr);
+  ASSERT_TRUE(v1_decoded.ok());
+  EXPECT_EQ(v1_decoded->execution.shards, 4u);
 }
 
 TEST(SurfHandlerTest, JobsPathShardsOneVsEightIdenticalResponses) {
@@ -1615,9 +1704,7 @@ TEST(SurfHandlerTest, JobsPathShardsOneVsEightIdenticalResponses) {
     TestClient client;
     EXPECT_TRUE(client.Connect(ts.server->port()));
 
-    v2::MineRequest request =
-        v2::FromLegacy(MakeTestRequest("web", ds.region_cols));
-    request.api_version = 2;
+    v2::MineRequest request = MakeTestRequest("web", ds.region_cols);
     request.execution.shards = shards;
     ClientResponse submitted = client.Request(
         "POST", "/v1/jobs", WriteJson(MineRequestV2ToJson(request)));
@@ -1659,23 +1746,21 @@ TEST(SurfHandlerTest, BlockingMineDeadlineCancelsAndAnswers408) {
 
   ASSERT_EQ(client
                 .Request("POST", "/v1/mine",
-                         WriteJson(MineRequestToJson(
+                         WriteJson(MineRequestV2ToJson(
                              MakeTestRequest("web", ds.region_cols))))
                 .status,
             200);
 
   // A v2 request with a tight execution deadline on an endless search:
   // the worker must stop and answer 408 with the partial envelope.
-  MineRequest slow = MakeTestRequest("web", ds.region_cols);
-  slow.finder.gso.max_iterations = 200000;
-  slow.finder.gso.convergence_tol_frac = 0.0;
-  v2::MineRequest as_v2 = v2::FromLegacy(slow);
-  as_v2.api_version = 2;
-  as_v2.execution.deadline_seconds = 0.15;
+  v2::MineRequest slow = MakeTestRequest("web", ds.region_cols);
+  slow.search.finder.gso.max_iterations = 200000;
+  slow.search.finder.gso.convergence_tol_frac = 0.0;
+  slow.execution.deadline_seconds = 0.15;
 
   const auto started = std::chrono::steady_clock::now();
   ClientResponse response = client.Request(
-      "POST", "/v1/mine", WriteJson(MineRequestV2ToJson(as_v2)));
+      "POST", "/v1/mine", WriteJson(MineRequestV2ToJson(slow)));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)

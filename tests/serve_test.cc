@@ -33,17 +33,18 @@ SyntheticDataset DensityData(size_t dims, size_t k, uint64_t seed = 42) {
 }
 
 /// A request with a small (fast) training recipe.
-MineRequest SmallRequest(const std::string& dataset_name, double threshold) {
-  MineRequest request;
+v2::MineRequest SmallRequest(const std::string& dataset_name,
+                             double threshold) {
+  v2::MineRequest request;
   request.dataset = dataset_name;
-  request.statistic = Statistic::Count({0, 1});
-  request.threshold = threshold;
-  request.workload.num_queries = 800;
-  request.surrogate.gbrt.n_estimators = 30;
-  request.surrogate.gbrt.max_depth = 4;
-  request.finder.gso.max_iterations = 25;
-  request.finder.gso.num_glowworms = 60;
-  request.finder.auto_scale_gso = false;
+  request.query.statistic = Statistic::Count({0, 1});
+  request.query.threshold = threshold;
+  request.training.workload.num_queries = 800;
+  request.training.surrogate.gbrt.n_estimators = 30;
+  request.training.surrogate.gbrt.max_depth = 4;
+  request.search.finder.gso.max_iterations = 25;
+  request.search.finder.gso.num_glowworms = 60;
+  request.search.finder.auto_scale_gso = false;
   return request;
 }
 
@@ -124,23 +125,23 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, CacheHitAndMissKeying) {
-  MineRequest request = SmallRequest("d", 500.0);
-  const MineResponse first = service().Mine(request);
+  v2::MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineResponse first = service().Mine(request);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   EXPECT_FALSE(first.cache_hit);
 
   // Same key, different threshold: threshold is per-request search
   // configuration, not part of the key.
-  request.threshold = 800.0;
-  const MineResponse second = service().Mine(request);
+  request.query.threshold = 800.0;
+  const v2::MineResponse second = service().Mine(request);
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(service().cache().size(), 1u);
 
   // A different GBRT recipe is a different key.
-  MineRequest other = request;
-  other.surrogate.gbrt.n_estimators = 31;
-  const MineResponse third = service().Mine(other);
+  v2::MineRequest other = request;
+  other.training.surrogate.gbrt.n_estimators = 31;
+  const v2::MineResponse third = service().Mine(other);
   ASSERT_TRUE(third.status.ok());
   EXPECT_FALSE(third.cache_hit);
   EXPECT_EQ(service().cache().size(), 2u);
@@ -151,7 +152,7 @@ TEST_F(ServiceTest, CacheHitAndMissKeying) {
 }
 
 TEST_F(ServiceTest, ProvenanceIsDeclared) {
-  const MineResponse response = service().Mine(SmallRequest("d", 500.0));
+  const v2::MineResponse response = service().Mine(SmallRequest("d", 500.0));
   ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(response.provenance.dataset_fingerprint,
             FingerprintDataset(data_.data));
@@ -168,16 +169,16 @@ TEST(ServiceCvTest, ProvenanceCvRmseWhenEnabled) {
   options.provenance_cv_folds = 3;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineResponse response = service.Mine(SmallRequest("d", 500.0));
+  const v2::MineResponse response = service.Mine(SmallRequest("d", 500.0));
   ASSERT_TRUE(response.status.ok());
   EXPECT_TRUE(std::isfinite(response.provenance.cv_rmse));
   EXPECT_GT(response.provenance.cv_rmse, 0.0);
 }
 
 TEST_F(ServiceTest, ConcurrentIdenticalRequestsTrainExactlyOnce) {
-  const MineRequest request = SmallRequest("d", 500.0);
-  const std::vector<MineRequest> requests(32, request);
-  const std::vector<MineResponse> responses = service().MineBatch(requests);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
+  const std::vector<v2::MineRequest> requests(32, request);
+  const std::vector<v2::MineResponse> responses = service().MineBatch(requests);
   ASSERT_EQ(responses.size(), 32u);
 
   size_t misses = 0;
@@ -208,10 +209,10 @@ TEST_F(ServiceTest, ConcurrentIdenticalRequestsTrainExactlyOnce) {
 TEST_F(ServiceTest, LruEvictionUnderCapacity) {
   // Capacity is 4; six distinct keys must evict the two least recently
   // used entries.
-  std::vector<MineRequest> requests;
+  std::vector<v2::MineRequest> requests;
   for (int i = 0; i < 6; ++i) {
-    MineRequest request = SmallRequest("d", 500.0);
-    request.workload.seed = 100 + i;  // distinct key per request
+    v2::MineRequest request = SmallRequest("d", 500.0);
+    request.training.workload.seed = 100 + i;  // distinct key per request
     requests.push_back(request);
   }
   for (const auto& request : requests) {
@@ -230,7 +231,7 @@ TEST_F(ServiceTest, LruEvictionUnderCapacity) {
 
 /// The exact back-end a resident cache entry validates with.
 const RegionEvaluator* EntryEvaluator(MiningService& service,
-                                      const MineRequest& request) {
+                                      const v2::MineRequest& request) {
   auto key = service.KeyFor(request);
   if (!key.ok()) return nullptr;
   auto entry = service.cache().Peek(*key);
@@ -238,10 +239,10 @@ const RegionEvaluator* EntryEvaluator(MiningService& service,
 }
 
 TEST_F(ServiceTest, ColdRequestsShareOneEvaluatorAcrossWorkloadSeeds) {
-  MineRequest first = SmallRequest("d", 500.0);
-  first.workload.seed = 1;
-  MineRequest second = first;
-  second.workload.seed = 2;
+  v2::MineRequest first = SmallRequest("d", 500.0);
+  first.training.workload.seed = 1;
+  v2::MineRequest second = first;
+  second.training.workload.seed = 2;
   ASSERT_FALSE(service().Mine(first).cache_hit);
   ASSERT_FALSE(service().Mine(second).cache_hit);
   ASSERT_EQ(service().cache().size(), 2u);
@@ -252,12 +253,12 @@ TEST_F(ServiceTest, ColdRequestsShareOneEvaluatorAcrossWorkloadSeeds) {
 }
 
 TEST_F(ServiceTest, StatisticOrShardCountGetsItsOwnEvaluator) {
-  const MineRequest base = SmallRequest("d", 500.0);
-  MineRequest swapped = base;
-  swapped.statistic = Statistic::Count({1, 0});
-  MineRequest sharded = base;
-  sharded.shards = 2;
-  for (const MineRequest& request : {base, swapped, sharded}) {
+  const v2::MineRequest base = SmallRequest("d", 500.0);
+  v2::MineRequest swapped = base;
+  swapped.query.statistic = Statistic::Count({1, 0});
+  v2::MineRequest sharded = base;
+  sharded.execution.shards = 2;
+  for (const v2::MineRequest& request : {base, swapped, sharded}) {
     ASSERT_TRUE(service().Mine(request).status.ok());
   }
   const RegionEvaluator* a = EntryEvaluator(service(), base);
@@ -271,7 +272,7 @@ TEST_F(ServiceTest, StatisticOrShardCountGetsItsOwnEvaluator) {
   EXPECT_EQ(service().shared_evaluator_slots(), 2u);
 
   // A sharded request that trains builds its own back-end.
-  sharded.workload.seed = 77;
+  sharded.training.workload.seed = 77;
   ASSERT_FALSE(service().Mine(sharded).cache_hit);
   const RegionEvaluator* c = EntryEvaluator(service(), sharded);
   ASSERT_NE(c, nullptr);
@@ -282,10 +283,10 @@ TEST_F(ServiceTest, StatisticOrShardCountGetsItsOwnEvaluator) {
 
 TEST_F(ServiceTest, SharedEvaluatorDiesWithItsLastEntry) {
   // Two entries over the Count({0, 1}) back-end.
-  MineRequest first = SmallRequest("d", 500.0);
-  first.workload.seed = 1;
-  MineRequest second = first;
-  second.workload.seed = 2;
+  v2::MineRequest first = SmallRequest("d", 500.0);
+  first.training.workload.seed = 1;
+  v2::MineRequest second = first;
+  second.training.workload.seed = 2;
   ASSERT_TRUE(service().Mine(first).status.ok());
   ASSERT_TRUE(service().Mine(second).status.ok());
   std::weak_ptr<const RegionEvaluator> watched =
@@ -293,10 +294,10 @@ TEST_F(ServiceTest, SharedEvaluatorDiesWithItsLastEntry) {
 
   // Four entries over another statistic push both out of the capacity-4
   // cache, one at a time.
-  MineRequest other = SmallRequest("d", 500.0);
-  other.statistic = Statistic::Count({1, 0});
+  v2::MineRequest other = SmallRequest("d", 500.0);
+  other.query.statistic = Statistic::Count({1, 0});
   for (uint64_t seed = 10; seed < 14; ++seed) {
-    other.workload.seed = seed;
+    other.training.workload.seed = seed;
     ASSERT_TRUE(service().Mine(other).status.ok());
     if (seed == 12) {
       // One Count({0, 1}) entry evicted, one still resident.
@@ -308,14 +309,14 @@ TEST_F(ServiceTest, SharedEvaluatorDiesWithItsLastEntry) {
   EXPECT_EQ(service().shared_evaluator_slots(), 2u);  // one slot expired
 
   // The next back-end build prunes the expired slot.
-  MineRequest third = SmallRequest("d", 500.0);
-  third.statistic = Statistic::Count({0});
+  v2::MineRequest third = SmallRequest("d", 500.0);
+  third.query.statistic = Statistic::Count({0});
   ASSERT_TRUE(service().Mine(third).status.ok());
   EXPECT_EQ(service().shared_evaluator_slots(), 2u);
 }
 
 TEST_F(ServiceTest, ThreadsLabellingThroughTheSharedGridMatchSequential) {
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
   ASSERT_TRUE(service().Mine(request).status.ok());
   const std::shared_ptr<const RegionEvaluator> grid =
       service().cache().Peek(*service().KeyFor(request))->Snapshot().evaluator;
@@ -366,7 +367,7 @@ TEST(StaleCacheTest, StaleEntriesRetrain) {
   options.cache.max_age_seconds = 0.0;  // everything is stale immediately
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
   EXPECT_FALSE(service.Mine(request).cache_hit);
   EXPECT_FALSE(service.Mine(request).cache_hit);  // stale -> retrained
   EXPECT_EQ(service.cache().stats().stale_evictions, 1u);
@@ -375,8 +376,8 @@ TEST(StaleCacheTest, StaleEntriesRetrain) {
 // ------------------------------------------------------------ Warm start
 
 TEST_F(ServiceTest, WarmStartSwapServesConsistentResultsMidRetrain) {
-  MineRequest request = SmallRequest("d", 500.0);
-  const MineResponse first = service().Mine(request);
+  v2::MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineResponse first = service().Mine(request);
   ASSERT_TRUE(first.status.ok());
 
   auto key = service().KeyFor(request);
@@ -386,7 +387,7 @@ TEST_F(ServiceTest, WarmStartSwapServesConsistentResultsMidRetrain) {
   const SurrogateSnapshot before = entry->Snapshot();
 
   // Label a fresh batch of evaluations with the true statistic.
-  ScanEvaluator evaluator(&data_.data, request.statistic);
+  ScanEvaluator evaluator(&data_.data, request.query.statistic);
   WorkloadParams fresh_params;
   fresh_params.num_queries = 600;
   fresh_params.seed = 77;
@@ -438,10 +439,10 @@ TEST_F(ServiceTest, WarmStartSwapServesConsistentResultsMidRetrain) {
 }
 
 TEST_F(ServiceTest, AppendBelowThresholdOnlyAccumulates) {
-  MineRequest request = SmallRequest("d", 500.0);
+  v2::MineRequest request = SmallRequest("d", 500.0);
   ASSERT_TRUE(service().Mine(request).status.ok());
 
-  ScanEvaluator evaluator(&data_.data, request.statistic);
+  ScanEvaluator evaluator(&data_.data, request.query.statistic);
   WorkloadParams fresh_params;
   fresh_params.num_queries = 100;  // below the 512 default threshold
   fresh_params.seed = 78;
@@ -458,7 +459,7 @@ TEST_F(ServiceTest, AppendBelowThresholdOnlyAccumulates) {
 }
 
 TEST_F(ServiceTest, AppendRejectsMismatchedFeatureWidth) {
-  MineRequest request = SmallRequest("d", 500.0);
+  v2::MineRequest request = SmallRequest("d", 500.0);
   ASSERT_TRUE(service().Mine(request).status.ok());
 
   RegionWorkload bad;
@@ -469,7 +470,7 @@ TEST_F(ServiceTest, AppendRejectsMismatchedFeatureWidth) {
             StatusCode::kInvalidArgument);
 
   // The entry is not poisoned: a correctly shaped append still lands.
-  ScanEvaluator evaluator(&data_.data, request.statistic);
+  ScanEvaluator evaluator(&data_.data, request.query.statistic);
   WorkloadParams fresh_params;
   fresh_params.num_queries = 50;
   fresh_params.seed = 79;
@@ -485,12 +486,12 @@ TEST_F(ServiceTest, AppendRejectsMismatchedFeatureWidth) {
 // --------------------------------------------------------------- Service
 
 TEST_F(ServiceTest, TopKModeServesFromTheSameCache) {
-  MineRequest request = SmallRequest("d", 0.0);
-  request.mode = MineRequest::Mode::kTopK;
-  request.topk.k = 3;
-  request.topk.gso.max_iterations = 25;
-  request.topk.gso.num_glowworms = 60;
-  const MineResponse response = service().Mine(request);
+  v2::MineRequest request = SmallRequest("d", 0.0);
+  request.query.kind = v2::QueryKind::kTopK;
+  request.search.topk.k = 3;
+  request.search.topk.gso.max_iterations = 25;
+  request.search.topk.gso.num_glowworms = 60;
+  const v2::MineResponse response = service().Mine(request);
   ASSERT_TRUE(response.status.ok());
   EXPECT_FALSE(response.topk.regions.empty());
   EXPECT_LE(response.topk.regions.size(), 3u);
@@ -501,11 +502,11 @@ TEST_F(ServiceTest, TopKModeServesFromTheSameCache) {
 }
 
 TEST_F(ServiceTest, ErrorsAreReportedPerRequest) {
-  MineRequest missing = SmallRequest("nope", 500.0);
+  v2::MineRequest missing = SmallRequest("nope", 500.0);
   EXPECT_EQ(service().Mine(missing).status.code(), StatusCode::kNotFound);
 
-  MineRequest bad_cols = SmallRequest("d", 500.0);
-  bad_cols.statistic = Statistic::Count({0, 9});
+  v2::MineRequest bad_cols = SmallRequest("d", 500.0);
+  bad_cols.query.statistic = Statistic::Count({0, 9});
   EXPECT_EQ(service().Mine(bad_cols).status.code(),
             StatusCode::kInvalidArgument);
 
@@ -577,17 +578,17 @@ TEST(CacheFailureTest, FailurePropagatesToEveryWaiterAndLeavesNoEntry) {
 
 TEST_F(ServiceTest, InjectedTrainingFailureThenCleanRetrain) {
   FailpointGuard guard;
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "error").ok());
-  const MineResponse failed = service().Mine(request);
+  const v2::MineResponse failed = service().Mine(request);
   EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
   EXPECT_NE(failed.status.message().find("serve.train"),
             std::string::npos);
   EXPECT_EQ(service().cache().size(), 0u);
 
   FailpointRegistry::Global().ClearAll();
-  const MineResponse retried = service().Mine(request);
+  const v2::MineResponse retried = service().Mine(request);
   EXPECT_TRUE(retried.status.ok()) << retried.status.ToString();
   EXPECT_FALSE(retried.provenance.degraded);
   EXPECT_EQ(service().cache().size(), 1u);
@@ -609,7 +610,7 @@ TEST_F(ServiceTest, TrainingRetryPolicyAbsorbsTransientFailures) {
   FailpointRegistry::Global().SetSeed(7);
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "prob:0.5").ok());
-  const MineResponse response =
+  const v2::MineResponse response =
       retrying.Mine(SmallRequest("d", 500.0));
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
 }
@@ -623,14 +624,14 @@ TEST(BreakerTest, OpensAfterConsecutiveFailuresAndSuggestsRetryAfter) {
   options.cache.breaker_open_seconds = 60.0;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
 
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "error").ok());
   EXPECT_EQ(service.Mine(request).status.code(), StatusCode::kInternal);
   EXPECT_EQ(service.Mine(request).status.code(), StatusCode::kInternal);
   // Breaker tripped: the third request is refused without training.
-  const MineResponse refused = service.Mine(request);
+  const v2::MineResponse refused = service.Mine(request);
   EXPECT_EQ(refused.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.cache().stats().breaker_rejections, 1u);
   EXPECT_EQ(service.cache().stats().training_failures, 2u);
@@ -650,7 +651,7 @@ TEST(BreakerTest, HalfOpenProbeRetrainsAfterTheWindow) {
   options.cache.breaker_open_seconds = 0.2;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
 
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "error").ok());
@@ -662,7 +663,7 @@ TEST(BreakerTest, HalfOpenProbeRetrainsAfterTheWindow) {
   // with the fault cleared, succeeds and closes the breaker.
   FailpointRegistry::Global().ClearAll();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const MineResponse recovered = service.Mine(request);
+  const v2::MineResponse recovered = service.Mine(request);
   EXPECT_TRUE(recovered.status.ok()) << recovered.status.ToString();
   EXPECT_TRUE(service.Mine(request).cache_hit);
 }
@@ -675,7 +676,7 @@ TEST(NegativeCacheTest, ReplaysRecentFailureWithoutRetraining) {
   options.cache.negative_ttl_seconds = 60.0;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
 
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "error").ok());
@@ -683,7 +684,7 @@ TEST(NegativeCacheTest, ReplaysRecentFailureWithoutRetraining) {
   // The fault is gone, but the negative cache replays the remembered
   // failure instead of retraining inside the TTL.
   FailpointRegistry::Global().ClearAll();
-  const MineResponse replayed = service.Mine(request);
+  const v2::MineResponse replayed = service.Mine(request);
   EXPECT_EQ(replayed.status.code(), StatusCode::kInternal);
   EXPECT_EQ(service.cache().stats().negative_hits, 1u);
   EXPECT_EQ(service.cache().stats().training_failures, 1u);
@@ -698,9 +699,9 @@ TEST(StaleServeTest, DegradedStaleModelServesWhenRevalidationFails) {
   options.cache.stale_while_revalidate = true;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
 
-  const MineResponse first = service.Mine(request);
+  const v2::MineResponse first = service.Mine(request);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   EXPECT_FALSE(first.provenance.degraded);
 
@@ -708,7 +709,7 @@ TEST(StaleServeTest, DegradedStaleModelServesWhenRevalidationFails) {
   // served from the previous model, labelled degraded, not errored.
   ASSERT_TRUE(
       FailpointRegistry::Global().Set("serve.train", "error").ok());
-  const MineResponse degraded = service.Mine(request);
+  const v2::MineResponse degraded = service.Mine(request);
   ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
   EXPECT_TRUE(degraded.provenance.degraded);
   EXPECT_FALSE(degraded.provenance.degraded_reason.empty());
@@ -717,7 +718,7 @@ TEST(StaleServeTest, DegradedStaleModelServesWhenRevalidationFails) {
   // Fault cleared: the next revalidation succeeds and the degraded flag
   // comes off.
   FailpointRegistry::Global().ClearAll();
-  const MineResponse fresh = service.Mine(request);
+  const v2::MineResponse fresh = service.Mine(request);
   ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
   EXPECT_FALSE(fresh.provenance.degraded);
 }
@@ -731,7 +732,7 @@ TEST(StaleServeTest, DisablingStaleWhileRevalidateSurfacesTheError) {
   options.cache.stale_while_revalidate = false;
   MiningService service(options);
   ASSERT_TRUE(service.RegisterDataset("d", ds.data).ok());
-  const MineRequest request = SmallRequest("d", 500.0);
+  const v2::MineRequest request = SmallRequest("d", 500.0);
 
   ASSERT_TRUE(service.Mine(request).status.ok());
   ASSERT_TRUE(

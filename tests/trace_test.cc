@@ -284,49 +284,47 @@ TEST(TraceJsonTest, ChromeExportIsStructurallyValid) {
 }
 
 TEST(TraceJsonTest, ResponseEnvelopeEmitsTraceOnlyWhenPresent) {
-  MineResponse response;
+  v2::MineResponse response;
   response.provenance.training_set_size = 10;
-  const std::string untraced =
-      WriteJson(MineResponseToJson(response, MineRequest::Mode::kThreshold));
+  const std::string untraced = WriteJson(
+      MineResponseV2ToJson(response, v2::QueryKind::kThreshold));
   EXPECT_EQ(untraced.find("\"trace\""), std::string::npos);
 
   auto trace = std::make_shared<TraceContext>();
   { TraceSpan span(trace.get(), "request"); }
   response.trace = trace;
-  const std::string traced =
-      WriteJson(MineResponseToJson(response, MineRequest::Mode::kThreshold));
+  const std::string traced = WriteJson(
+      MineResponseV2ToJson(response, v2::QueryKind::kThreshold));
   EXPECT_NE(traced.find("\"trace\""), std::string::npos);
   EXPECT_NE(traced.find(trace->id()), std::string::npos);
 
   // Dropping the trace again restores the exact pre-tracing encoding.
   response.trace = nullptr;
-  EXPECT_EQ(
-      WriteJson(MineResponseToJson(response, MineRequest::Mode::kThreshold)),
-      untraced);
+  EXPECT_EQ(WriteJson(MineResponseV2ToJson(response,
+                                           v2::QueryKind::kThreshold)),
+            untraced);
 }
 
 TEST(TraceJsonTest, RequestTraceFlagRoundTrips) {
-  MineRequest request;
-  request.dataset = "d";
-  request.statistic = Statistic::Count({0, 1});
-  request.trace = true;
-  const JsonValue encoded = MineRequestToJson(request);
-  EXPECT_TRUE(encoded.Find("trace")->bool_value());
-  auto decoded = MineRequestFromJson(encoded);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->trace);
+  // The flat v1 document carries the flag at the top level; it lands in
+  // the execution recipe.
+  auto v1 = ParseJson(
+      R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
+          "trace": true})");
+  ASSERT_TRUE(v1.ok());
+  auto from_v1 = MineRequestV2FromJson(*v1);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  EXPECT_TRUE(from_v1->execution.trace);
 
-  // v2 carries the flag inside the execution recipe. FromLegacy keeps
-  // api_version = 1, so stamp 2 to exercise the named-section decoder.
-  v2::MineRequest v2_request = v2::FromLegacy(request);
-  v2_request.api_version = 2;
-  EXPECT_TRUE(v2_request.execution.trace);
-  const JsonValue v2_encoded = MineRequestV2ToJson(v2_request);
-  EXPECT_TRUE(
-      v2_encoded.Find("execution")->Find("trace")->bool_value());
-  auto v2_decoded = MineRequestV2FromJson(v2_encoded);
-  ASSERT_TRUE(v2_decoded.ok());
-  EXPECT_TRUE(v2_decoded->execution.trace);
+  v2::MineRequest request;
+  request.dataset = "d";
+  request.query.statistic = Statistic::Count({0, 1});
+  request.execution.trace = true;
+  const JsonValue encoded = MineRequestV2ToJson(request);
+  EXPECT_TRUE(encoded.Find("execution")->Find("trace")->bool_value());
+  auto decoded = MineRequestV2FromJson(encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->execution.trace);
 }
 
 // ------------------------------------------------- pipeline integration

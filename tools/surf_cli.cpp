@@ -366,9 +366,9 @@ class LineArgs {
   std::map<std::string, std::string> kv_;
 };
 
-StatusOr<MineRequest> ParseMineLine(const MiningService& service,
-                                    const LineArgs& args) {
-  MineRequest request;
+StatusOr<v2::MineRequest> ParseMineLine(const MiningService& service,
+                                        const LineArgs& args) {
+  v2::MineRequest request;
   request.dataset = args.Get("dataset", "default");
   const Dataset* data = service.dataset(request.dataset);
   if (data == nullptr) {
@@ -380,32 +380,33 @@ StatusOr<MineRequest> ParseMineLine(const MiningService& service,
       *data, args.Get("cols", ""), args.Get("stat", "count"),
       args.Get("value-col", ""), args.GetDouble("label", 1.0));
   if (!statistic.ok()) return statistic.status();
-  request.statistic = *statistic;
+  request.query.statistic = *statistic;
 
   if (args.Has("topk")) {
-    request.mode = MineRequest::Mode::kTopK;
-    request.topk.k = static_cast<size_t>(args.GetInt("topk", 3));
-    request.topk.c = args.GetDouble("c", 0.8);
-    request.topk.gso.max_iterations =
+    request.query.kind = v2::QueryKind::kTopK;
+    TopKConfig& topk = request.search.topk;
+    topk.k = static_cast<size_t>(args.GetInt("topk", 3));
+    topk.c = args.GetDouble("c", 0.8);
+    topk.gso.max_iterations =
         static_cast<size_t>(args.GetInt("iterations", 120));
   } else {
     if (!args.Has("threshold")) {
       return Status::InvalidArgument(
           "mine line needs threshold= (or topk=)");
     }
-    request.threshold = args.GetDouble("threshold", 0.0);
-    request.direction = args.Get("direction", "above") == "below"
-                            ? ThresholdDirection::kBelow
-                            : ThresholdDirection::kAbove;
-    request.finder.c = args.GetDouble("c", 4.0);
-    request.finder.max_regions =
-        static_cast<size_t>(args.GetInt("max-regions", 16));
-    request.finder.gso.max_iterations =
+    request.query.threshold = args.GetDouble("threshold", 0.0);
+    request.query.direction = args.Get("direction", "above") == "below"
+                                  ? ThresholdDirection::kBelow
+                                  : ThresholdDirection::kAbove;
+    FinderConfig& finder = request.search.finder;
+    finder.c = args.GetDouble("c", 4.0);
+    finder.max_regions = static_cast<size_t>(args.GetInt("max-regions", 16));
+    finder.gso.max_iterations =
         static_cast<size_t>(args.GetInt("iterations", 120));
   }
-  request.workload.num_queries =
+  request.training.workload.num_queries =
       static_cast<size_t>(args.GetInt("queries", 10000));
-  request.shards = static_cast<size_t>(args.GetInt("shards", 1));
+  request.execution.shards = static_cast<size_t>(args.GetInt("shards", 1));
   return request;
 }
 
@@ -429,7 +430,7 @@ int RunBatch(const CliFlags& flags) {
 
   std::ifstream in(query_path);
   if (!in) return Fail("cannot open " + query_path);
-  std::vector<MineRequest> requests;
+  std::vector<v2::MineRequest> requests;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -470,12 +471,12 @@ int RunBatch(const CliFlags& flags) {
   if (requests.empty()) return Fail("query file has no mine lines");
 
   Stopwatch timer;
-  const std::vector<MineResponse> responses = service.MineBatch(requests);
+  const std::vector<v2::MineResponse> responses = service.MineBatch(requests);
   const double seconds = timer.ElapsedSeconds();
 
   int failures = 0;
   for (size_t i = 0; i < responses.size(); ++i) {
-    const MineResponse& response = responses[i];
+    const v2::MineResponse& response = responses[i];
     std::printf("-- request %zu/%zu [%s, %s]\n", i + 1, responses.size(),
                 responses[i].cache_hit ? "cache hit" : "trained",
                 requests[i].dataset.c_str());
@@ -484,7 +485,7 @@ int RunBatch(const CliFlags& flags) {
       ++failures;
       continue;
     }
-    if (requests[i].mode == MineRequest::Mode::kTopK) {
+    if (requests[i].query.kind == v2::QueryKind::kTopK) {
       TablePrinter table({"rank", "box", "estimate"});
       for (size_t r = 0; r < response.topk.regions.size(); ++r) {
         const auto& scored = response.topk.regions[r];
