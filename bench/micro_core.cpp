@@ -8,21 +8,26 @@
 // subtraction, leaf-range boosting updates, blocked copy-free batch
 // prediction) against a faithful port of the original single-thread
 // implementation, at 1 and 8 threads, verifying bit-identical predictions
-// across thread counts. Results land in BENCH_gbrt.json (override the
-// path with SURF_BENCH_JSON). Pass --speedup-only to skip the benchmark
-// suite, e.g. in CI perf smoke jobs.
+// across thread counts, plus PredictBatch at swarm sizes (30 and 150
+// rows) against the depth-first walk it replaced. Results land in
+// BENCH_gbrt.json (override the path with SURF_BENCH_JSON). Pass
+// --speedup-only to skip the benchmark suite, e.g. in CI perf smoke jobs.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "accel/accel.h"
 #include "bench_common.h"
+#include "core/workload.h"
 #include "legacy_gbrt.h"
+#include "ml/gbrt.h"
 #include "ml/kde.h"
+#include "ml/tree.h"
 #include "stats/grid_index.h"
 #include "stats/kd_tree.h"
 #include "util/stopwatch.h"
@@ -358,6 +363,106 @@ SpeedupReport RunSpeedupReport() {
 }
 
 // ===================================================================
+// Swarm-sized batch prediction (the "swarm_predict" object in the JSON)
+// ===================================================================
+
+// GSO scores one swarm per iteration: ~30 regions on surfd's warm path,
+// 50·d = 150 for a paper-scaled 3-d search. The fixture surrogate is the
+// default ensemble (100 trees, depth 6) over 2-d region features.
+constexpr size_t kSwarmRows[] = {30, 150};
+constexpr size_t kSwarmCallsPerRep = 2000;
+constexpr size_t kSwarmReps = 7;
+
+struct SwarmPredictTimes {
+  size_t rows = 0;
+  double image_us = 0.0;
+  double depth_first_us = 0.0;
+  bool bit_identical = false;
+};
+
+struct SwarmPredictReport {
+  size_t trees = 0;
+  std::vector<SwarmPredictTimes> shapes;
+};
+
+/// The ensemble's trees, walked depth-first one tree at a time over the
+/// batch — how PredictBatch evaluated every ensemble before the
+/// complete-tree image, and still does for trees deeper than its cap.
+struct DepthFirstEnsemble {
+  double base_score = 0.0;
+  double learning_rate = 0.0;
+  std::vector<RegressionTree> trees;
+
+  std::vector<double> PredictBatch(const FeatureMatrix& x) const {
+    std::vector<double> out(x.num_rows(), base_score);
+    const std::vector<const double*> cols = x.ColPointers();
+    for (const RegressionTree& tree : trees) {
+      tree.AddPredictions(cols.data(), 0, x.num_rows(), learning_rate,
+                          out.data());
+    }
+    return out;
+  }
+};
+
+DepthFirstEnsemble LoadDepthFirst(const GradientBoostedTrees& model) {
+  const std::string tmp = "/tmp/surf_bench_swarm.model";
+  if (!model.Save(tmp).ok()) std::abort();
+  std::ifstream is(tmp);
+  std::string magic;
+  size_t num_features = 0, n_trees = 0;
+  DepthFirstEnsemble ensemble;
+  is >> magic >> num_features >> ensemble.base_score >>
+      ensemble.learning_rate >> n_trees;
+  for (size_t t = 0; t < n_trees; ++t) {
+    auto tree = RegressionTree::Deserialize(is);
+    if (!tree.ok()) std::abort();
+    ensemble.trees.push_back(std::move(tree).value());
+  }
+  std::remove(tmp.c_str());
+  return ensemble;
+}
+
+SwarmPredictReport RunSwarmPredictReport() {
+  MicroFixture& f = MicroFixture::Get();
+  const auto& model =
+      dynamic_cast<const GradientBoostedTrees&>(f.surrogate.model());
+  const DepthFirstEnsemble depth_first = LoadDepthFirst(model);
+  SwarmPredictReport report;
+  report.trees = model.num_trees();
+  double sink = 0.0;
+  for (const size_t rows : kSwarmRows) {
+    FeatureMatrix x(2 * f.space.dims());
+    for (size_t i = 0; i < rows; ++i) {
+      x.AddRow(RegionFeatures(f.probes[i % f.probes.size()]));
+    }
+    SwarmPredictTimes times;
+    times.rows = rows;
+    times.bit_identical =
+        model.PredictBatch(x) == depth_first.PredictBatch(x);
+    // Interleaved reps so drift hits both kernels alike; min-of-reps.
+    double best_image = std::numeric_limits<double>::infinity();
+    double best_depth_first = std::numeric_limits<double>::infinity();
+    for (size_t rep = 0; rep < kSwarmReps; ++rep) {
+      best_image = std::min(best_image, BestOfSeconds(1, [&] {
+        for (size_t c = 0; c < kSwarmCallsPerRep; ++c) {
+          sink += model.PredictBatch(x)[c % rows];
+        }
+      }));
+      best_depth_first = std::min(best_depth_first, BestOfSeconds(1, [&] {
+        for (size_t c = 0; c < kSwarmCallsPerRep; ++c) {
+          sink += depth_first.PredictBatch(x)[c % rows];
+        }
+      }));
+    }
+    times.image_us = 1e6 * best_image / kSwarmCallsPerRep;
+    times.depth_first_us = 1e6 * best_depth_first / kSwarmCallsPerRep;
+    report.shapes.push_back(times);
+  }
+  if (sink == 0.5) std::printf("\n");  // keep `sink` observable
+  return report;
+}
+
+// ===================================================================
 // Accel kernel-level speedup section (the "accel" object in the JSON)
 // ===================================================================
 
@@ -513,6 +618,7 @@ TraceOverheadReport RunTraceOverheadReport() {
 
 void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
                      const TraceOverheadReport& trace,
+                     const SwarmPredictReport& swarm,
                      const std::string& path) {
   std::ofstream os(path);
   os.precision(6);
@@ -579,6 +685,19 @@ void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
      << report.predict_baseline_ms / report.predict_engine_mt_ms << ",\n";
   os << "    \"max_abs_diff_vs_baseline\": "
      << report.predict_max_abs_diff_vs_baseline << "\n";
+  os << "  },\n";
+  os << "  \"swarm_predict\": {\n";
+  os << "    \"trees\": " << swarm.trees << ",\n";
+  os << "    \"shapes\": [\n";
+  for (size_t i = 0; i < swarm.shapes.size(); ++i) {
+    const SwarmPredictTimes& t = swarm.shapes[i];
+    os << "      { \"rows\": " << t.rows << ", \"image_us\": " << t.image_us
+       << ", \"depth_first_us\": " << t.depth_first_us
+       << ", \"speedup\": " << t.depth_first_us / t.image_us
+       << ", \"bit_identical\": " << (t.bit_identical ? "true" : "false")
+       << " }" << (i + 1 < swarm.shapes.size() ? "," : "") << "\n";
+  }
+  os << "    ]\n";
   os << "  },\n";
   os << "  \"bit_identical_across_thread_counts\": "
      << (report.deterministic_across_threads ? "true" : "false") << "\n";
@@ -656,6 +775,17 @@ int main(int argc, char** argv) {
               report.deterministic_across_threads ? "yes" : "NO",
               report.predict_max_abs_diff_vs_baseline);
 
+  std::printf("\n== swarm-sized batch prediction (fixture surrogate) ==\n");
+  const surf::SwarmPredictReport swarm = surf::RunSwarmPredictReport();
+  bool swarm_identical = true;
+  for (const surf::SwarmPredictTimes& t : swarm.shapes) {
+    std::printf("%4zu rows: image %.1f us | depth-first %.1f us (%.2fx) | "
+                "bit-identical: %s\n",
+                t.rows, t.image_us, t.depth_first_us,
+                t.depth_first_us / t.image_us, t.bit_identical ? "yes" : "NO");
+    swarm_identical = swarm_identical && t.bit_identical;
+  }
+
   std::printf("\n== disabled-tracing overhead gate (span per call) ==\n");
   const surf::TraceOverheadReport trace = surf::RunTraceOverheadReport();
   std::printf("plain %.2f ms | instrumented %.2f ms | ratio %.4f "
@@ -663,8 +793,14 @@ int main(int argc, char** argv) {
               trace.baseline_ms, trace.disabled_ms, trace.ratio,
               surf::kTraceOverheadMaxRatio);
 
-  surf::WriteReportJson(report, accel, trace, json_path);
+  surf::WriteReportJson(report, accel, trace, swarm, json_path);
   std::printf("wrote %s\n\n", json_path.c_str());
+  if (!swarm_identical) {
+    std::fprintf(stderr,
+                 "error: complete-tree image predictions differ from the "
+                 "depth-first walk\n");
+    return 1;
+  }
   if (trace.ratio > surf::kTraceOverheadMaxRatio) {
     std::fprintf(stderr,
                  "error: disabled tracing costs %.2f%% on a span-per-call "

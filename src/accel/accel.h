@@ -4,9 +4,8 @@
 /// \file
 /// \brief Runtime-dispatched SIMD backend selection for the hot kernels.
 ///
-/// The three hottest loops in the system — per-feature histogram builds
-/// (GBRT training), the blocked packed-node batch prediction walk, and
-/// the branchless uint8 membership mask scan of the sharded evaluator —
+/// The hot loops of GBRT training and exact evaluation — per-feature
+/// histogram builds and the branchless uint8 membership mask scan —
 /// run through one function-pointer table (`AccelOps`, see kernels.h)
 /// with a generic reference implementation plus AVX2 / AVX-512 variants.
 ///

@@ -20,31 +20,20 @@
 ///    beware that a two-NaN add is not bitwise commutative (x86
 ///    propagates the FIRST source operand), so any reordering scheme
 ///    must also pin operand order.
-///  - `tree_predict` is exact per row (compares and selects only; the
-///    final update is an unfused multiply-then-add). All backends share
-///    the generic 8-row-interleaved scalar walk: gather-based vector
-///    walks measured 2.6–5× slower (traversal is a latency-bound
-///    pointer chase; four dependent gathers per level lose to scalar L1
-///    loads overlapped across eight independent rows).
 ///  - `mask_range_and` / `mask_count` are integer-valued and therefore
 ///    order-independent — these ARE profitably vectorized (dense
 ///    streaming compares: measured ~2.8× / ~6.8× on AVX-512).
+///
+/// Tree-ensemble prediction has no entry: gather-based vector walks
+/// measured 2.6–5× slower than scalar code, so every backend would only
+/// alias one routine. GBRT predicts through its complete-tree image
+/// (ml/gbrt_image.cc), one scalar kernel compiled like the generic TU
+/// (see docs/perf.md, "Ensemble evaluation").
 
 #include <cstddef>
 #include <cstdint>
 
 namespace surf {
-
-/// Packed 16-byte tree node, layout-compatible with
-/// `RegressionTree::Node` (asserted in ml/tree.cc). Internal node: `tv`
-/// is the split threshold (go to `index+1` if x[feature] <= tv, else to
-/// `right`). Leaf: `tv` is NaN and `right` self-loops.
-struct AccelTreeNode {
-  double tv;
-  int32_t right;
-  uint32_t feature;
-};
-static_assert(sizeof(AccelTreeNode) == 16, "packed-node layout");
 
 /// \brief Function-pointer table of the vectorized hot-loop kernels.
 ///
@@ -66,16 +55,6 @@ struct AccelOps {
   void (*hist_u8_unit)(const uint8_t* bins, const uint32_t* row_ids,
                        const double* grad, size_t n, uint32_t num_bins,
                        double* g, uint32_t* cnt);
-
-  /// Blocked batch tree traversal: adds `scale * leaf(r)` to
-  /// `out[r - begin]` for each row r in [begin, end), reading features
-  /// from column-major storage (`cols[j][r]`). `levels` is the number of
-  /// interleaved branch-free levels to run (depth-1; 0 means walk each
-  /// row with the early-exit scalar loop). Leaves self-loop via the
-  /// always-false NaN compare, exactly as in the reference walk.
-  void (*tree_predict)(const AccelTreeNode* nodes, const double* values,
-                       size_t levels, const double* const* cols,
-                       size_t begin, size_t end, double scale, double* out);
 
   /// Branchless membership mask:
   ///   mask[r] &= !(col[r] < lo) & !(col[r] > hi)   for r in [0, n)

@@ -5,10 +5,10 @@
 // cannot be FMA-fused into results that differ from the generic
 // reference.
 //
-// Only the mask kernels carry vector bodies: the histogram and tree
-// walk resolve to the shared scalar reference routines — their
-// gather-based vector forms measured slower than the scalar loops
-// (see kernels.h and docs/perf.md).
+// Only the mask kernels carry vector bodies: the histogram resolves to
+// the shared scalar reference routine — its gather-based vector form
+// measured slower than the scalar loop (see kernels.h and
+// docs/perf.md).
 
 #include "accel/kernels_detail.h"
 
@@ -85,14 +85,12 @@ uint64_t MaskCountAvx2(const uint8_t* mask, size_t n) {
 }  // namespace
 
 const bool kAccelAvx2Compiled = true;
-// Histogram and tree walk: the shared scalar reference (compiled in the
-// generic TU — no wide-ISA recompilation), per the measurements in
-// kernels.h.
+// Histogram: the shared scalar reference (compiled in the generic TU —
+// no wide-ISA recompilation), per the measurements in kernels.h.
 const AccelOps kAccelAvx2Ops = {
     /*backend=*/1,
     /*name=*/"avx2",
     accel_detail::HistU8UnitRef,
-    accel_detail::TreePredictRef,
     MaskRangeAvx2,
     MaskCountAvx2,
 };
@@ -110,7 +108,6 @@ const AccelOps kAccelAvx2Ops = {
     /*backend=*/1,
     /*name=*/"avx2",
     accel_detail::HistU8UnitRef,
-    accel_detail::TreePredictRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

@@ -5,9 +5,9 @@
 // support.
 //
 // As in the AVX2 TU, only the mask kernels carry vector bodies — the
-// histogram (gather-add-scatter) and tree walk (four dependent gathers
-// per level) vector forms measured 2.6–4× slower than the shared scalar
-// reference routines they now alias (see kernels.h and docs/perf.md).
+// histogram's gather-add-scatter vector form measured 2–4× slower than
+// the shared scalar reference routine it now aliases (see kernels.h and
+// docs/perf.md).
 
 #include "accel/kernels_detail.h"
 
@@ -69,14 +69,12 @@ uint64_t MaskCountAvx512(const uint8_t* mask, size_t n) {
 }  // namespace
 
 const bool kAccelAvx512Compiled = true;
-// Histogram and tree walk: the shared scalar reference (compiled in the
-// generic TU — no wide-ISA recompilation), per the measurements in
-// kernels.h.
+// Histogram: the shared scalar reference (compiled in the generic TU —
+// no wide-ISA recompilation), per the measurements in kernels.h.
 const AccelOps kAccelAvx512Ops = {
     /*backend=*/2,
     /*name=*/"avx512",
     accel_detail::HistU8UnitRef,
-    accel_detail::TreePredictRef,
     MaskRangeAvx512,
     MaskCountAvx512,
 };
@@ -94,7 +92,6 @@ const AccelOps kAccelAvx512Ops = {
     /*backend=*/2,
     /*name=*/"avx512",
     accel_detail::HistU8UnitRef,
-    accel_detail::TreePredictRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

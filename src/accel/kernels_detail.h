@@ -21,12 +21,6 @@
 namespace surf {
 namespace accel_detail {
 
-/// Early-exit scalar walk of rows [begin, end) — the reference tail for
-/// the interleaved predictors, and the whole path when levels == 0.
-void TreePredictRows(const AccelTreeNode* nodes, const double* values,
-                     const double* const* cols, size_t begin, size_t end,
-                     double scale, double* out);
-
 /// Scalar membership-mask update over [r0, n).
 void MaskRangeTail(const double* col, size_t r0, size_t n, double lo,
                    double hi, uint8_t* mask);
@@ -38,15 +32,12 @@ uint64_t MaskCountTail(const uint8_t* mask, size_t r0, size_t n);
 /// kAccelGenericOps). Exposed for two reasons: a backend TU whose ISA
 /// the toolchain cannot compile fills its (never-selected) table with
 /// real definitions instead of copy-initializing from another global at
-/// dynamic-init time, and the vector backends reuse HistU8UnitRef /
-/// TreePredictRef directly — measurement showed the gather/scatter
-/// vector forms of those two kernels are net losses (see kernels.h).
+/// dynamic-init time, and the vector backends reuse HistU8UnitRef
+/// directly — measurement showed its gather/scatter vector form is a net
+/// loss (see kernels.h).
 void HistU8UnitRef(const uint8_t* bins, const uint32_t* row_ids,
                    const double* grad, size_t n, uint32_t num_bins,
                    double* g, uint32_t* cnt);
-void TreePredictRef(const AccelTreeNode* nodes, const double* values,
-                    size_t levels, const double* const* cols, size_t begin,
-                    size_t end, double scale, double* out);
 void MaskRangeRef(const double* col, size_t n, double lo, double hi,
                   uint8_t* mask);
 uint64_t MaskCountRef(const uint8_t* mask, size_t n);

@@ -9,24 +9,6 @@
 namespace surf {
 namespace accel_detail {
 
-void TreePredictRows(const AccelTreeNode* nodes, const double* values,
-                     const double* const* cols, size_t begin, size_t end,
-                     double scale, double* out) {
-  for (size_t r = begin; r < end; ++r) {
-    int32_t idx = 0;
-    for (;;) {
-      const AccelTreeNode& node = nodes[static_cast<size_t>(idx)];
-      const int32_t next =
-          cols[node.feature][r] <= node.tv ? idx + 1 : node.right;
-      if (next == idx) {
-        out[r - begin] += scale * values[idx];
-        break;
-      }
-      idx = next;
-    }
-  }
-}
-
 void MaskRangeTail(const double* col, size_t r0, size_t n, double lo,
                    double hi, uint8_t* mask) {
   for (size_t r = r0; r < n; ++r) {
@@ -62,40 +44,6 @@ void HistU8UnitRef(const uint8_t* bins, const uint32_t* row_ids,
   }
 }
 
-void TreePredictRef(const AccelTreeNode* nodes, const double* values,
-                    size_t levels, const double* const* cols, size_t begin,
-                    size_t end, double scale, double* out) {
-  // Interleave 8 rows through the tree at once: each level is one
-  // dependent load-compare-select per row, so eight independent chains
-  // overlap instead of serializing. Leaves self-select, letting every
-  // row run the same fixed number of levels branch-free.
-  constexpr size_t kGroup = 8;
-  size_t r = begin;
-  if (levels > 0) {
-    for (; r + kGroup <= end; r += kGroup) {
-      int32_t idx[kGroup] = {0};
-      for (size_t lvl = 0; lvl < levels; ++lvl) {
-        for (size_t k = 0; k < kGroup; ++k) {
-          const AccelTreeNode& node = nodes[static_cast<size_t>(idx[k])];
-          // Branch-free masked select (a ternary here compiles to a
-          // data-dependent branch that mispredicts ~50% of the time at
-          // deep levels); leaves self-loop via the always-false NaN
-          // compare.
-          const int32_t mask =
-              -static_cast<int32_t>(cols[node.feature][r + k] <= node.tv);
-          idx[k] = (node.right & ~mask) | ((idx[k] + 1) & mask);
-        }
-      }
-      for (size_t k = 0; k < kGroup; ++k) {
-        out[r + k - begin] += scale * values[idx[k]];
-      }
-    }
-  }
-  // The tail walker writes relative to ITS begin — hand it the output
-  // slot of row r, not the block base.
-  TreePredictRows(nodes, values, cols, r, end, scale, out + (r - begin));
-}
-
 void MaskRangeRef(const double* col, size_t n, double lo, double hi,
                   uint8_t* mask) {
   MaskRangeTail(col, 0, n, lo, hi, mask);
@@ -111,7 +59,6 @@ const AccelOps kAccelGenericOps = {
     /*backend=*/0,
     /*name=*/"generic",
     accel_detail::HistU8UnitRef,
-    accel_detail::TreePredictRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

@@ -47,21 +47,15 @@ FindResult SurfFinder::Find(double threshold,
   }
   TraceSpan extraction_span(trace_, "extraction", TraceStage::kExtraction);
 
-  // Collect valid particles and reduce to distinct regions; their
-  // statistic estimates come from one batched call.
+  // Collect valid particles and reduce to distinct regions; each carries
+  // the estimate its fitness was computed from.
   std::vector<ScoredRegion> candidates;
-  std::vector<Region> valid_regions;
   for (size_t i = 0; i < result.gso.particles.size(); ++i) {
-    if (result.gso.valid[i]) valid_regions.push_back(result.gso.particles[i]);
-  }
-  const std::vector<double> estimates =
-      EvaluateStatistics(valid_regions, estimate_, batch_estimate_);
-  for (size_t i = 0, v = 0; i < result.gso.particles.size(); ++i) {
     if (!result.gso.valid[i]) continue;
     ScoredRegion cand;
     cand.region = result.gso.particles[i];
     cand.fitness = result.gso.fitness[i];
-    cand.statistic = estimates[v++];
+    cand.statistic = result.gso.statistic[i];
     candidates.push_back(std::move(cand));
   }
   const auto distinct = SelectDistinctRegions(

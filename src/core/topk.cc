@@ -12,6 +12,7 @@ namespace {
 /// the scale-free regularization).
 FitnessValue TopKFitness(const Region& region, double y, double c) {
   FitnessValue out;
+  out.statistic = y;
   if (std::isnan(y) || !std::isfinite(y) || y <= 0.0) return out;
   double size_penalty = 0.0;
   for (size_t i = 0; i < region.dims(); ++i) {
@@ -79,21 +80,14 @@ TopKResult TopKFinder::Find() const {
   }
   TraceSpan extraction_span(trace_, "extraction", TraceStage::kExtraction);
 
-  // Score the surviving valid particles with one batched call.
-  std::vector<Region> valid_regions;
-  for (size_t i = 0; i < swarm.particles.size(); ++i) {
-    if (swarm.valid[i]) valid_regions.push_back(swarm.particles[i]);
-  }
-  const std::vector<double> estimates =
-      EvaluateStatistics(valid_regions, estimate_, batch_estimate_);
-
+  // Valid particles carry the statistic their fitness was computed from.
   std::vector<ScoredRegion> candidates;
-  for (size_t i = 0, v = 0; i < swarm.particles.size(); ++i) {
+  for (size_t i = 0; i < swarm.particles.size(); ++i) {
     if (!swarm.valid[i]) continue;
     ScoredRegion cand;
     cand.region = swarm.particles[i];
     cand.fitness = swarm.fitness[i];
-    cand.statistic = estimates[v++];
+    cand.statistic = swarm.statistic[i];
     candidates.push_back(std::move(cand));
   }
 

@@ -113,7 +113,9 @@ Status GradientBoostedTrees::Fit(const FeatureMatrix& x,
   }
 
   trees_.clear();
+  image_ = CompleteTreeImage();
   train_curve_.clear();
+  trained_ = false;
   num_features_ = x.num_features();
   Rng rng(params_.seed);
 
@@ -228,6 +230,7 @@ Status GradientBoostedTrees::Fit(const FeatureMatrix& x,
   }
   close_rounds_span(trees_.size());
 
+  CompileImage();
   trained_ = true;
   return Status::OK();
 }
@@ -265,6 +268,8 @@ Status GradientBoostedTrees::ContinueFit(const FeatureMatrix& x,
 
   for (size_t round = 0; round < extra_trees; ++round) {
     if (cancel_.cancelled()) {
+      // The rounds already appended stay, so the image must cover them.
+      CompileImage();
       return Status::Cancelled("warm-start continuation cancelled");
     }
     for (size_t r = 0; r < x.num_rows(); ++r) grad[r] = pred[r] - y[r];
@@ -283,7 +288,12 @@ Status GradientBoostedTrees::ContinueFit(const FeatureMatrix& x,
     train_curve_.push_back(
         std::sqrt(se / static_cast<double>(x.num_rows())));
   }
+  CompileImage();
   return Status::OK();
+}
+
+void GradientBoostedTrees::CompileImage() {
+  image_ = CompleteTreeImage(trees_, params_.learning_rate);
 }
 
 double GradientBoostedTrees::Predict(const std::vector<double>& x) const {
@@ -305,10 +315,13 @@ std::vector<double> GradientBoostedTrees::PredictBatch(
 
   const std::vector<const double*> cols = x.ColPointers();
   const double lr = params_.learning_rate;
-  // All trees over one block of rows before moving on: each tree's nodes
-  // are touched `block` times in a row instead of once per scattered
-  // visit, and each row is read in place from its column (no gather).
+  // All trees over one block of rows before moving on, so the block's
+  // rows stay cache-resident while the ensemble streams past them.
   auto run_range = [&](size_t b0, size_t b1) {
+    if (!image_.empty()) {
+      image_.AddPredictions(cols.data(), b0, b1, out.data() + b0);
+      return;
+    }
     for (const auto& tree : trees_) {
       tree.AddPredictions(cols.data(), b0, b1, lr, out.data() + b0);
     }
@@ -383,6 +396,7 @@ StatusOr<GradientBoostedTrees> GradientBoostedTrees::Load(
   }
   if (!is) return Status::IOError("truncated model file " + path);
   model.params_.n_estimators = static_cast<size_t>(n_trees);
+  model.CompileImage();
   model.trained_ = true;
   return model;
 }

@@ -1,7 +1,9 @@
 #ifndef SURF_ML_GBRT_H_
 #define SURF_ML_GBRT_H_
 
+#include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "ml/regressor.h"
@@ -64,7 +66,9 @@ struct GbrtParams {
 /// Second-order boosting: per round the gradient of ½(pred−y)² is
 /// (pred − y) and the hessian is 1, so leaf weights reduce to the familiar
 /// -Σresidual / (n + λ). Trees are trained histogram-style on quantile
-/// bins; prediction sums raw-threshold tree walks.
+/// bins; prediction sums raw-threshold tree walks. Batch prediction runs
+/// on a complete-tree image of the ensemble, compiled whenever the trees
+/// change (Fit, ContinueFit, Load).
 class GradientBoostedTrees : public Regressor {
  public:
   GradientBoostedTrees() = default;
@@ -83,11 +87,12 @@ class GradientBoostedTrees : public Regressor {
 
   double Predict(const std::vector<double>& x) const override;
 
-  /// Copy-free blocked batch prediction: walks every tree over a block of
-  /// rows straight out of the column-major matrix (no per-row gather), so
-  /// each tree's nodes stay cache-hot across the whole block. Blocks run
-  /// in parallel when `num_threads > 1`; output is bit-identical to the
-  /// scalar path for any thread count.
+  /// Blocked batch prediction through the ensemble's complete-tree image
+  /// (groups of 8 rows, every tree, branch-free steps); ensembles with a
+  /// tree deeper than the image's level cap take the depth-first walk
+  /// instead. Blocks run in parallel when `num_threads > 1`; output is
+  /// bitwise equal to per-row Predict for any thread count, NaN and ±inf
+  /// features included.
   std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
 
   bool trained() const override { return trained_; }
@@ -96,7 +101,8 @@ class GradientBoostedTrees : public Regressor {
   /// Attaches a cooperative-cancellation token polled between boosting
   /// rounds: Fit/ContinueFit return Cancelled within one round of the
   /// token firing, leaving the model untrained (Fit) or unchanged beyond
-  /// the rounds already appended (ContinueFit). The token is runtime-only
+  /// the rounds already appended (ContinueFit, which keeps predicting
+  /// with them). The token is runtime-only
   /// state — it never affects a completed fit's results and is excluded
   /// from fingerprints. Reset it (default token) before reusing the model
   /// object for an unrelated fit.
@@ -123,11 +129,65 @@ class GradientBoostedTrees : public Regressor {
   static StatusOr<GradientBoostedTrees> Load(const std::string& path);
 
  private:
+  /// \brief Prediction-only image of the ensemble: each tree of L split
+  /// levels padded to an implicit complete tree in heap order (node i has
+  /// children 2i+1 and 2i+2), all trees in one exactly-sized buffer.
+  ///
+  /// Per tree, `nodes_` holds 2^L - 1 thresholds followed by 2^L leaf
+  /// values pre-multiplied by the learning rate (the same product the
+  /// scalar path forms), and the feature buffer holds 2^L - 1 split
+  /// features. A leaf above level L fills its whole padded subtree, so
+  /// every row takes exactly L steps `i = 2i + 1 + !(x[f[i]] <= t[i])`
+  /// and lands on a leaf slot. The compare is the scalar walk's, so NaN
+  /// and ±inf route identically.
+  class CompleteTreeImage {
+   public:
+    /// Padding grows as 2^L per tree: an ensemble with a deeper tree is
+    /// not compiled and keeps the depth-first walk.
+    static constexpr size_t kMaxLevels = 10;
+
+    CompleteTreeImage() = default;
+    /// Compiles `trees` (leaf values scaled by `scale`); stays empty when
+    /// `trees` is empty or any tree has more than kMaxLevels levels.
+    CompleteTreeImage(const std::vector<RegressionTree>& trees,
+                      double scale);
+
+    bool empty() const { return levels_.empty(); }
+
+    /// Adds every tree's scaled leaf to `out[r - begin]` for rows
+    /// [begin, end) of column-major `cols`, in tree order.
+    void AddPredictions(const double* const* cols, size_t begin,
+                        size_t end, double* out) const;
+
+   private:
+    template <typename Feature>
+    void Walk(const std::vector<Feature>& features, const double* const* cols,
+              size_t begin, size_t end, double* out) const;
+
+    /// Split levels per tree, in ensemble order.
+    std::vector<uint8_t> levels_;
+    std::vector<double> nodes_;
+    /// Split feature per internal slot: its index into `used_features_`
+    /// times the lane count (the feature's offset in a gathered row
+    /// group), in the narrowest type that holds every offset.
+    std::variant<std::vector<uint8_t>, std::vector<uint16_t>,
+                 std::vector<uint32_t>>
+        features_;
+    /// Matrix column of each dense feature index: a row gathers only the
+    /// columns some split reads.
+    std::vector<uint32_t> used_features_;
+  };
+
+  /// Recompiles `image_` from `trees_`; every path that changes the
+  /// trees calls it before returning.
+  void CompileImage();
+
   GbrtParams params_;
   CancelToken cancel_;
   TraceContext* trace_ = nullptr;
   double base_score_ = 0.0;
   std::vector<RegressionTree> trees_;
+  CompleteTreeImage image_;
   std::vector<double> train_curve_;
   size_t num_features_ = 0;
   bool trained_ = false;

@@ -643,15 +643,74 @@ void RegressionTree::AddPredictions(const double* const* cols, size_t begin,
                                     size_t end, double scale,
                                     double* out) const {
   assert(!nodes_.empty());
-  // The packed node is the kernel layer's AccelTreeNode by construction;
-  // the asserts pin the reinterpret below to the actual layout.
-  static_assert(sizeof(Node) == sizeof(AccelTreeNode));
-  static_assert(offsetof(Node, tv) == offsetof(AccelTreeNode, tv));
-  static_assert(offsetof(Node, right) == offsetof(AccelTreeNode, right));
-  static_assert(offsetof(Node, feature) == offsetof(AccelTreeNode, feature));
-  const size_t levels = depth_ > 1 ? depth_ - 1 : 0;
-  Accel().tree_predict(reinterpret_cast<const AccelTreeNode*>(nodes_.data()),
-                       values_.data(), levels, cols, begin, end, scale, out);
+  const Node* nodes = nodes_.data();
+  const double* values = values_.data();
+  // Interleave 8 rows through the tree at once: each level is one
+  // dependent load-compare-select per row, so eight independent chains
+  // overlap instead of serializing. Leaves self-select, letting every
+  // row run the same fixed number of levels branch-free.
+  constexpr size_t kGroup = 8;
+  const size_t levels = SplitLevels();
+  size_t r = begin;
+  if (levels > 0) {
+    for (; r + kGroup <= end; r += kGroup) {
+      int32_t idx[kGroup] = {0};
+      for (size_t lvl = 0; lvl < levels; ++lvl) {
+        for (size_t k = 0; k < kGroup; ++k) {
+          const Node& node = nodes[static_cast<size_t>(idx[k])];
+          // Branch-free masked select (a ternary here compiles to a
+          // data-dependent branch that mispredicts ~50% of the time at
+          // deep levels); leaves self-loop via the always-false NaN
+          // compare.
+          const int32_t mask =
+              -static_cast<int32_t>(cols[node.feature][r + k] <= node.tv);
+          idx[k] = (node.right & ~mask) | ((idx[k] + 1) & mask);
+        }
+      }
+      for (size_t k = 0; k < kGroup; ++k) {
+        out[r + k - begin] += scale * values[idx[k]];
+      }
+    }
+  }
+  // Early-exit walk of the rows that do not fill a group.
+  for (; r < end; ++r) {
+    int32_t idx = 0;
+    for (;;) {
+      const Node& node = nodes[static_cast<size_t>(idx)];
+      const int32_t next =
+          cols[node.feature][r] <= node.tv ? idx + 1 : node.right;
+      if (next == idx) {
+        out[r - begin] += scale * values[idx];
+        break;
+      }
+      idx = next;
+    }
+  }
+}
+
+void RegressionTree::FillComplete(double scale, double* thresholds,
+                                  uint32_t* features, double* leaves) const {
+  assert(!nodes_.empty());
+  // source[h] is the packed node heap slot h mirrors. A leaf's "children"
+  // are the leaf itself, which pads its subtree with copies of it (NaN
+  // threshold, feature 0, the leaf's value).
+  const size_t internal = (size_t{1} << SplitLevels()) - 1;
+  std::vector<int32_t> source(2 * internal + 1);
+  source[0] = 0;
+  for (size_t h = 0; h < internal; ++h) {
+    const int32_t idx = source[h];
+    const Node& node = nodes_[static_cast<size_t>(idx)];
+    thresholds[h] = node.tv;
+    features[h] = node.feature;
+    const bool leaf = IsLeaf(static_cast<size_t>(idx));
+    source[2 * h + 1] = leaf ? idx : idx + 1;
+    source[2 * h + 2] = leaf ? idx : node.right;
+  }
+  for (size_t j = 0; j <= internal; ++j) {
+    const size_t idx = static_cast<size_t>(source[internal + j]);
+    assert(IsLeaf(idx));
+    leaves[j] = scale * values_[idx];
+  }
 }
 
 size_t RegressionTree::num_leaves() const {

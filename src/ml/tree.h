@@ -70,12 +70,27 @@ class RegressionTree {
   double Predict(const std::vector<double>& x) const;
   double Predict(const double* x) const;
 
-  /// Copy-free blocked traversal: adds `scale * leaf(r)` to
+  /// Copy-free depth-first traversal: adds `scale * leaf(r)` to
   /// `out[r - begin]` for every row r in [begin, end), reading features
   /// straight out of column-major storage (`cols[j][r]` is feature j of
-  /// row r — see FeatureMatrix::ColPointers()).
+  /// row r — see FeatureMatrix::ColPointers()). Ensembles predict through
+  /// their complete-tree image instead; this walk serves training-time
+  /// holdout rows and trees too deep for the image.
   void AddPredictions(const double* const* cols, size_t begin, size_t end,
                       double scale, double* out) const;
+
+  /// Split levels on the longest root-to-leaf path (Depth() - 1; 0 for a
+  /// single leaf).
+  size_t SplitLevels() const { return depth_ > 1 ? depth_ - 1 : 0; }
+
+  /// Lays the tree out as a complete tree of L = SplitLevels() levels in
+  /// heap order (node h has children 2h+1 and 2h+2): `thresholds` and
+  /// `features` receive the 2^L - 1 internal slots and `leaves` the 2^L
+  /// leaf slots, each `scale * value`. A leaf above the last level is
+  /// copied into every slot of its padded subtree, so the comparisons
+  /// made there cannot change which value is reached.
+  void FillComplete(double scale, double* thresholds, uint32_t* features,
+                    double* leaves) const;
 
   /// Leaf spans over the row array passed to Fit (training-time only;
   /// empty for deserialized trees).
@@ -140,8 +155,8 @@ class RegressionTree {
   /// Leaf output per node index (0.0 at internal nodes).
   std::vector<double> values_;
   std::vector<LeafRange> leaf_ranges_;
-  /// Cached Depth() of the fitted/loaded tree: the blocked predictor
-  /// walks interleaved row groups for exactly depth-1 levels (leaves
+  /// Cached Depth() of the fitted/loaded tree: the depth-first walk runs
+  /// interleaved row groups for exactly depth-1 levels (leaves
   /// self-loop), overlapping the per-level load latencies.
   size_t depth_ = 0;
 };

@@ -88,6 +88,39 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
   std::vector<double> radius(L, r0);
   result.fitness.assign(L, 0.0);
   result.valid.assign(L, false);
+  result.statistic.assign(L, std::numeric_limits<double>::quiet_NaN());
+
+  // Particles whose region changed since their last score. The fitness is
+  // a pure function of the region, so every other particle keeps its
+  // fitness, validity and statistic; a swarm that moved whole is passed
+  // without a copy.
+  std::vector<uint8_t> moved(L, 1);
+  std::vector<Region> movers;
+  std::vector<size_t> mover_idx;
+  auto rescore_moved = [&]() {
+    movers.clear();
+    mover_idx.clear();
+    for (size_t i = 0; i < L; ++i) {
+      if (!moved[i]) continue;
+      moved[i] = 0;
+      mover_idx.push_back(i);
+    }
+    if (mover_idx.empty()) return;
+    const bool whole_swarm = mover_idx.size() == L;
+    if (!whole_swarm) {
+      for (const size_t i : mover_idx) movers.push_back(result.particles[i]);
+    }
+    const std::vector<FitnessValue> evals =
+        fitness(whole_swarm ? result.particles : movers);
+    assert(evals.size() == mover_idx.size());
+    result.objective_evaluations += mover_idx.size();
+    for (size_t k = 0; k < mover_idx.size(); ++k) {
+      const size_t i = mover_idx[k];
+      result.fitness[i] = evals[k].value;
+      result.valid[i] = evals[k].valid;
+      result.statistic[i] = evals[k].statistic;
+    }
+  };
 
   // Cached KDE region mass per particle, refreshed after each move. Only
   // maintained when Eq. 8 guidance is on — the per-particle RegionMass
@@ -148,15 +181,11 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
     double fitness_sum = 0.0;
     size_t valid_count = 0;
     double worst_valid = std::numeric_limits<double>::infinity();
-    const std::vector<FitnessValue> evals = fitness(result.particles);
-    result.objective_evaluations += L;
+    rescore_moved();
     for (size_t i = 0; i < L; ++i) {
-      const FitnessValue& fv = evals[i];
-      result.fitness[i] = fv.value;
-      result.valid[i] = fv.valid;
-      if (fv.valid) {
-        worst_valid = std::min(worst_valid, fv.value);
-        fitness_sum += fv.value;
+      if (result.valid[i]) {
+        worst_valid = std::min(worst_valid, result.fitness[i]);
+        fitness_sum += result.fitness[i];
         ++valid_count;
       }
     }
@@ -236,6 +265,7 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
       if (!(next[i] == result.particles[i])) {
         result.particles[i] = std::move(next[i]);
         refresh_mass(i);
+        moved[i] = 1;
       }
     }
 
@@ -262,13 +292,8 @@ GsoResult GlowwormSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
 
   close_iters_span(result.iterations_run);
 
-  // Final fitness refresh so reported values match final positions.
-  const std::vector<FitnessValue> final_evals = fitness(result.particles);
-  result.objective_evaluations += L;
-  for (size_t i = 0; i < L; ++i) {
-    result.fitness[i] = final_evals[i].value;
-    result.valid[i] = final_evals[i].valid;
-  }
+  // Final refresh so reported values match final positions.
+  rescore_moved();
   result.luciferin = std::move(luciferin);
   return result;
 }

@@ -86,6 +86,9 @@ struct GsoResult {
   std::vector<Region> particles;
   std::vector<double> fitness;
   std::vector<bool> valid;
+  /// The raw statistic behind each particle's fitness
+  /// (FitnessValue::statistic: NaN where the fitness computed none).
+  std::vector<double> statistic;
   /// Luciferin levels at termination.
   std::vector<double> luciferin;
   size_t iterations_run = 0;
@@ -94,7 +97,9 @@ struct GsoResult {
   /// True when a CancelToken stopped the swarm early. The partial swarm
   /// (positions, fitness, validity) is still fully populated and usable.
   bool cancelled = false;
-  /// Total objective evaluations (T · L per the paper's cost model).
+  /// Regions actually sent to the fitness function. A particle is
+  /// re-scored only after its region changes, so this is at most the
+  /// paper's T · L plus the final L-particle refresh.
   uint64_t objective_evaluations = 0;
   GsoHistory history;
 
@@ -120,6 +125,8 @@ class GlowwormSwarmOptimizer {
 
   /// Runs the swarm against `fitness` within `space`. If `kde` is
   /// non-null the Eq. 8 region-mass weighting steers neighbour choice.
+  /// `fitness` must be a pure function of the region: each iteration
+  /// scores only the particles that moved since their last score.
   /// `cancel` is polled once per iteration: a fired token (flag or
   /// deadline) stops the swarm within one iteration, marking the result
   /// `cancelled` while keeping the partial swarm reportable. `progress`,
@@ -132,9 +139,10 @@ class GlowwormSwarmOptimizer {
                      SearchProgress* progress = nullptr,
                      TraceContext* trace = nullptr) const;
 
-  /// Batched variant: the whole swarm is scored with one `fitness` call
-  /// per iteration (one surrogate PredictBatch instead of L tree walks).
-  /// Identical trajectory to the scalar overload for the same seed.
+  /// Batched variant: the particles that moved are scored with one
+  /// `fitness` call per iteration (one surrogate PredictBatch instead of
+  /// a tree walk per particle). Identical trajectory to the scalar
+  /// overload for the same seed.
   GsoResult Optimize(const BatchFitnessFn& fitness,
                      const RegionSolutionSpace& space,
                      const Kde* kde = nullptr, CancelToken cancel = {},

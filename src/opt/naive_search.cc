@@ -54,7 +54,6 @@ NaiveSearchResult NaiveSearch::Run(const RegionObjective& objective,
   // grid cell. Budgets are re-checked between chunks.
   constexpr size_t kChunk = 256;
   std::vector<Region> chunk;
-  std::vector<double> chunk_stats;
   chunk.reserve(kChunk);
   bool exhausted = false;
   while (!exhausted) {
@@ -91,15 +90,14 @@ NaiveSearchResult NaiveSearch::Run(const RegionObjective& objective,
     }
     if (chunk.empty()) break;
 
-    const std::vector<FitnessValue> evals =
-        objective.EvaluateMany(chunk, &chunk_stats);
+    const std::vector<FitnessValue> evals = objective.EvaluateMany(chunk);
     result.examined += chunk.size();
     for (size_t i = 0; i < chunk.size(); ++i) {
       if (!evals[i].valid) continue;
       ScoredRegion scored;
       scored.region = chunk[i];
       scored.fitness = evals[i].value;
-      scored.statistic = chunk_stats[i];
+      scored.statistic = evals[i].statistic;
       result.viable.push_back(std::move(scored));
     }
 

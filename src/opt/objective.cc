@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace surf {
 
@@ -31,6 +30,7 @@ RegionObjective::RegionObjective(StatisticFn statistic,
 FitnessValue RegionObjective::FromStatistic(const Region& region,
                                             double y) const {
   FitnessValue out;
+  out.statistic = y;
   if (std::isnan(y) || !std::isfinite(y)) return out;
 
   const double diff = config_.direction == ThresholdDirection::kBelow
@@ -70,23 +70,11 @@ FitnessValue RegionObjective::Evaluate(const Region& region) const {
 }
 
 std::vector<FitnessValue> RegionObjective::EvaluateMany(
-    const std::vector<Region>& regions,
-    std::vector<double>* stats_out) const {
+    const std::vector<Region>& regions) const {
   std::vector<FitnessValue> out(regions.size());
-  if (stats_out != nullptr) {
-    stats_out->assign(regions.size(),
-                      std::numeric_limits<double>::quiet_NaN());
-  }
   if (regions.empty()) return out;
   if (batch_statistic_ == nullptr) {
-    for (size_t i = 0; i < regions.size(); ++i) {
-      // Same short-circuit as Evaluate: degenerate regions never probe
-      // the statistic.
-      if (regions[i].Degenerate()) continue;
-      const double y = statistic_(regions[i]);
-      if (stats_out != nullptr) (*stats_out)[i] = y;
-      out[i] = FromStatistic(regions[i], y);
-    }
+    for (size_t i = 0; i < regions.size(); ++i) out[i] = Evaluate(regions[i]);
     return out;
   }
   // Degenerate regions never reach the statistic source (same
@@ -103,7 +91,6 @@ std::vector<FitnessValue> RegionObjective::EvaluateMany(
     const std::vector<double> stats = batch_statistic_(regions);
     assert(stats.size() == regions.size());
     for (size_t i = 0; i < regions.size(); ++i) {
-      if (stats_out != nullptr) (*stats_out)[i] = stats[i];
       out[i] = FromStatistic(regions[i], stats[i]);
     }
     return out;
@@ -120,9 +107,7 @@ std::vector<FitnessValue> RegionObjective::EvaluateMany(
   const std::vector<double> stats = batch_statistic_(live);
   assert(stats.size() == live.size());
   for (size_t k = 0; k < live.size(); ++k) {
-    const size_t i = live_idx[k];
-    if (stats_out != nullptr) (*stats_out)[i] = stats[k];
-    out[i] = FromStatistic(regions[i], stats[k]);
+    out[live_idx[k]] = FromStatistic(regions[live_idx[k]], stats[k]);
   }
   return out;
 }
@@ -144,16 +129,6 @@ BatchFitnessFn ToBatchFitness(FitnessFn fitness) {
     for (size_t i = 0; i < regions.size(); ++i) out[i] = fitness(regions[i]);
     return out;
   };
-}
-
-std::vector<double> EvaluateStatistics(const std::vector<Region>& regions,
-                                       const StatisticFn& scalar,
-                                       const BatchStatisticFn& batch) {
-  if (batch != nullptr) return batch(regions);
-  std::vector<double> out;
-  out.reserve(regions.size());
-  for (const Region& region : regions) out.push_back(scalar(region));
-  return out;
 }
 
 }  // namespace surf

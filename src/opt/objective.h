@@ -2,6 +2,8 @@
 #define SURF_OPT_OBJECTIVE_H_
 
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "geom/region.h"
 
@@ -38,6 +40,10 @@ struct ObjectiveConfig {
 struct FitnessValue {
   double value = 0.0;
   bool valid = false;
+  /// The raw statistic the value was computed from, so result extraction
+  /// need not ask the statistic source again; NaN where none was computed
+  /// (degenerate regions, fitness functions without a statistic).
+  double statistic = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Statistic provider: region -> y (possibly NaN where f is undefined).
@@ -80,12 +86,9 @@ class RegionObjective {
   /// Batched Evaluate: one statistic call for the whole population, then
   /// the (cheap) objective math per region. Falls back to per-region
   /// statistics when no batch source was supplied. Result i matches
-  /// Evaluate(regions[i]) exactly. When `stats_out` is non-null it
-  /// receives the raw statistic per region (NaN where it was never
-  /// computed), sparing callers a second statistic pass.
+  /// Evaluate(regions[i]) exactly, raw statistic included.
   std::vector<FitnessValue> EvaluateMany(
-      const std::vector<Region>& regions,
-      std::vector<double>* stats_out = nullptr) const;
+      const std::vector<Region>& regions) const;
 
   /// Exposes the raw statistic (for validation/report paths).
   double Statistic(const Region& region) const { return statistic_(region); }
@@ -112,12 +115,6 @@ bool SatisfiesThreshold(double y, double threshold,
 /// Wraps a scalar fitness into the batched optimizer signature (the
 /// function object is copied, so the adapter owns its callee).
 BatchFitnessFn ToBatchFitness(FitnessFn fitness);
-
-/// Scores every region through `batch` when non-null, else by looping
-/// `scalar` — the shared fallback for report/extraction paths.
-std::vector<double> EvaluateStatistics(const std::vector<Region>& regions,
-                                       const StatisticFn& scalar,
-                                       const BatchStatisticFn& batch);
 
 }  // namespace surf
 

@@ -228,90 +228,6 @@ TEST(AccelHistTest, CountsMatchDirectTally) {
   }
 }
 
-// --------------------------------------------------------- tree traversal
-
-/// A random packed tree in the kernel layout: left child at idx+1,
-/// leaves self-looping with a NaN threshold and feature 0.
-struct PackedTree {
-  std::vector<AccelTreeNode> nodes;
-  std::vector<double> values;
-  size_t depth = 0;
-};
-
-int32_t GrowNode(size_t levels_left, size_t num_features, Rng* rng,
-                 PackedTree* tree, size_t depth) {
-  const int32_t idx = static_cast<int32_t>(tree->nodes.size());
-  tree->nodes.push_back({});
-  tree->values.push_back(0.0);
-  tree->depth = std::max(tree->depth, depth);
-  // Occasional early leaves give the walk ragged depths, exercising the
-  // self-loop levels where some lanes are parked and others still move.
-  if (levels_left == 0 || rng->Uniform() < 0.15) {
-    tree->nodes[static_cast<size_t>(idx)] = {kQNaN, idx, 0};
-    tree->values[static_cast<size_t>(idx)] = rng->Uniform(-5.0, 5.0);
-    return idx;
-  }
-  const uint32_t feature =
-      static_cast<uint32_t>(rng->Uniform() * static_cast<double>(num_features)) %
-      static_cast<uint32_t>(num_features);
-  const double tv = rng->Uniform();
-  GrowNode(levels_left - 1, num_features, rng, tree, depth + 1);
-  const int32_t right =
-      GrowNode(levels_left - 1, num_features, rng, tree, depth + 1);
-  tree->nodes[static_cast<size_t>(idx)] = {tv, right, feature};
-  return idx;
-}
-
-TEST(AccelTreePredictTest, BitIdenticalAcrossBackendsShapesAndOffsets) {
-  const size_t kNumFeatures = 3;
-  for (uint64_t seed : {11u, 12u, 13u}) {
-    Rng rng(seed);
-    for (size_t max_levels : {0u, 1u, 3u, 6u}) {
-      PackedTree tree;
-      GrowNode(max_levels, kNumFeatures, &rng, &tree, 1);
-      const size_t levels = tree.depth > 1 ? tree.depth - 1 : 0;
-
-      const size_t kMaxRows = 128;
-      std::vector<std::vector<double>> columns(kNumFeatures);
-      std::vector<const double*> cols(kNumFeatures);
-      for (size_t j = 0; j < kNumFeatures; ++j) {
-        columns[j].resize(kMaxRows);
-        for (size_t r = 0; r < kMaxRows; ++r) {
-          columns[j][r] = EdgyValue(&rng);
-        }
-        cols[j] = columns[j].data();
-      }
-
-      // Offset begins (1 and 3) make the vector body start unaligned
-      // relative to both the rows and the output.
-      for (size_t begin : {size_t{0}, size_t{1}, size_t{3}}) {
-        for (size_t n : kRowCorpus) {
-          const size_t end = begin + n;
-          if (end > kMaxRows) continue;
-          std::vector<double> base(n);
-          for (size_t i = 0; i < n; ++i) base[i] = rng.Uniform(-2.0, 2.0);
-          const double scale = rng.Uniform(0.01, 0.7);
-
-          std::vector<double> ref = base;
-          kAccelGenericOps.tree_predict(tree.nodes.data(),
-                                        tree.values.data(), levels,
-                                        cols.data(), begin, end, scale,
-                                        ref.data());
-          for (AccelBackend b : SupportedBackends()) {
-            const AccelOps& ops = AccelOpsFor(b);
-            std::vector<double> got = base;
-            ops.tree_predict(tree.nodes.data(), tree.values.data(), levels,
-                             cols.data(), begin, end, scale, got.data());
-            EXPECT_TRUE(SameBits(ref, got))
-                << ops.name << " seed=" << seed << " levels=" << levels
-                << " begin=" << begin << " n=" << n;
-          }
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------- mask scan
 
 TEST(AccelMaskTest, BitIdenticalAcrossBackendsBoundsAndTails) {
@@ -388,7 +304,6 @@ TEST(AccelSelectTest, TablesAreSelfConsistent) {
   for (AccelBackend b : AllBackends()) {
     const AccelOps& ops = AccelOpsFor(b);
     EXPECT_NE(ops.hist_u8_unit, nullptr);
-    EXPECT_NE(ops.tree_predict, nullptr);
     EXPECT_NE(ops.mask_range_and, nullptr);
     EXPECT_NE(ops.mask_count, nullptr);
     if (AccelCompiled(b)) {
@@ -495,8 +410,8 @@ TEST(AccelEndToEndTest, MiningEnvelopeBitIdenticalGenericVsBestBackend) {
   const Dataset ds = ClusteredData(3000, 99);
 
   // Full pipeline — workload labelling through the sharded evaluator,
-  // GBRT training (histogram kernel), batched surrogate prediction
-  // (tree kernel), GSO mining, validation — once per backend.
+  // GBRT training (histogram kernel), batched surrogate prediction,
+  // GSO mining, validation — once per backend.
   const FindResult generic = MineUnder(AccelBackend::kGeneric, ds);
   const FindResult native = MineUnder(best, ds);
 
@@ -520,7 +435,7 @@ TEST(AccelEndToEndTest, MiningEnvelopeBitIdenticalGenericVsBestBackend) {
 
 TEST(AccelEndToEndTest, GbrtTrainingAndPredictionBitIdenticalPerBackend) {
   // GBRT alone, at a row count large enough that training spends real
-  // time in the histogram and tree-predict kernels.
+  // time in the histogram kernel.
   ScopedAccelState restore;
   Rng rng(55);
   const size_t n = 9692;

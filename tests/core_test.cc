@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/surf.h"
+#include "core/topk.h"
 #include "data/synthetic.h"
 #include "ml/knn.h"
 #include "ml/linear.h"
@@ -257,6 +258,48 @@ TEST(FinderTest, BelowDirectionFindsSparseRegions) {
     EXPECT_LT(r.estimate, 600.0);
   }
   EXPECT_GT(result.report.true_compliance, 0.5);
+}
+
+TEST(FinderTest, ReportedEstimatesAreTheSurrogatePredictions) {
+  // Extraction reads the statistic each particle's last score carried
+  // instead of predicting again; it must still be exactly the
+  // surrogate's prediction for the reported region, batched or scalar,
+  // threshold or top-k.
+  const SyntheticDataset ds = DensityData(2, 1, 11);
+  ScanEvaluator eval(&ds.data, Statistic::Count({0, 1}));
+  WorkloadParams wparams;
+  wparams.num_queries = 2000;
+  const RegionWorkload workload =
+      GenerateWorkload(eval, ds.data.ComputeBounds({0, 1}), wparams);
+  auto surrogate = Surrogate::Train(workload, SurrogateTrainOptions{});
+  ASSERT_TRUE(surrogate.ok());
+
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    FinderConfig config;
+    config.gso.num_glowworms = 60;
+    config.gso.max_iterations = 40;
+    SurfFinder finder(surrogate->AsStatisticFn(), workload.space, config);
+    TopKConfig topk_config;
+    topk_config.gso.num_glowworms = 60;
+    topk_config.gso.max_iterations = 40;
+    TopKFinder topk(surrogate->AsStatisticFn(), workload.space,
+                    topk_config);
+    if (batched) {
+      finder.SetBatchEstimate(surrogate->AsBatchStatisticFn());
+      topk.SetBatchEstimate(surrogate->AsBatchStatisticFn());
+    }
+    const FindResult found = finder.Find(300.0, ThresholdDirection::kAbove);
+    ASSERT_FALSE(found.regions.empty());
+    for (const FoundRegion& r : found.regions) {
+      EXPECT_EQ(r.estimate, surrogate->Predict(r.region));
+    }
+    const TopKResult best = topk.Find();
+    ASSERT_FALSE(best.regions.empty());
+    for (const ScoredRegion& r : best.regions) {
+      EXPECT_EQ(r.statistic, surrogate->Predict(r.region));
+    }
+  }
 }
 
 TEST(FinderTest, ValidatorOffLeavesNaNTruth) {

@@ -1,14 +1,20 @@
 // Tests for the parallel, cache-efficient GBRT engine: the contiguous
-// binned layout, sibling histogram subtraction, the copy-free blocked
-// prediction path, thread-count determinism, batched surrogate
-// evaluation, and hardened model deserialization.
+// binned layout, sibling histogram subtraction, batch prediction through
+// the complete-tree image (bitwise against per-row Predict on both sides
+// of its level cap, and kept in step with the trees), thread-count
+// determinism, batched surrogate evaluation, and hardened model
+// deserialization.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -23,7 +29,9 @@
 #include "opt/gso.h"
 #include "opt/naive_search.h"
 #include "opt/objective.h"
+#include "util/cancel.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace surf {
 namespace {
@@ -108,31 +116,6 @@ TEST(BinnedMatrixTest, MatchesLegacyNestedLayout) {
     }
   }
   EXPECT_EQ(flat.total_bins(), expected_offset);
-}
-
-// ------------------------------------------------- scalar vs blocked batch
-
-TEST(GbrtEngineTest, ScalarPredictMatchesBlockedBatch) {
-  for (const size_t depth : {2u, 5u, 8u}) {
-    FeatureMatrix x;
-    std::vector<double> y;
-    MakeProblem(1500, 4, 42 + depth, &x, &y);
-    GbrtParams params;
-    params.n_estimators = 40;
-    params.max_depth = depth;
-    GradientBoostedTrees model(params);
-    ASSERT_TRUE(model.Fit(x, y).ok());
-
-    FeatureMatrix tx;
-    std::vector<double> ty;
-    MakeProblem(3000, 4, 142 + depth, &tx, &ty);
-    const std::vector<double> batch = model.PredictBatch(tx);
-    ASSERT_EQ(batch.size(), tx.num_rows());
-    for (size_t r = 0; r < tx.num_rows(); ++r) {
-      EXPECT_DOUBLE_EQ(batch[r], model.Predict(tx.Row(r)))
-          << "row " << r << " depth " << depth;
-    }
-  }
 }
 
 // ------------------------------------------------- sibling subtraction
@@ -398,6 +381,274 @@ RegionWorkload MakeWorkload(size_t n, uint64_t seed) {
   return workload;
 }
 
+// ------------------------------------------- batch vs per-row prediction
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr size_t kPropertyWidth = 4;
+
+/// Bitwise equality, NaN payloads and signed zeros included.
+bool SameBits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+/// Split thresholds of a model, read back from its saved text (printed
+/// with 17 significant digits, so they round-trip exactly).
+std::vector<double> SplitThresholds(const GradientBoostedTrees& model,
+                                    const std::string& path) {
+  EXPECT_TRUE(model.Save(path).ok());
+  std::ifstream is(path);
+  std::string magic;
+  size_t features = 0, trees = 0;
+  double base = 0.0, lr = 0.0;
+  is >> magic >> features >> base >> lr >> trees;
+  std::vector<double> out;
+  for (size_t t = 0; t < trees; ++t) {
+    size_t nodes = 0;
+    is >> nodes;
+    for (size_t i = 0; i < nodes; ++i) {
+      long long left = 0, right = 0;
+      size_t feature = 0;
+      double threshold = 0.0, value = 0.0;
+      is >> left >> right >> feature >> threshold >> value;
+      if (left >= 0) out.push_back(threshold);
+    }
+  }
+  std::remove(path.c_str());
+  return out;
+}
+
+/// Test rows whose features sit exactly on split thresholds, one ulp
+/// either side of them, or on NaN, ±inf, ±0 and the smallest denormal.
+FeatureMatrix EdgeRows(const std::vector<double>& thresholds, size_t n,
+                       size_t width, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMatrix x(width);
+  x.Reserve(n);
+  std::vector<double> row(width);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : row) {
+      const double roll = rng.Uniform();
+      const double t = thresholds.empty()
+                           ? 0.5
+                           : thresholds[static_cast<size_t>(
+                                 rng.Uniform() *
+                                 static_cast<double>(thresholds.size())) %
+                                        thresholds.size()];
+      if (roll < 0.30) {
+        v = t;
+      } else if (roll < 0.36) {
+        v = std::nextafter(t, kInf);
+      } else if (roll < 0.42) {
+        v = std::nextafter(t, -kInf);
+      } else if (roll < 0.45) {
+        v = std::numeric_limits<double>::quiet_NaN();
+      } else if (roll < 0.47) {
+        v = kInf;
+      } else if (roll < 0.49) {
+        v = -kInf;
+      } else if (roll < 0.51) {
+        v = 5e-324;
+      } else if (roll < 0.52) {
+        v = -0.0;
+      } else {
+        v = rng.Uniform(-0.2, 1.2);
+      }
+    }
+    x.AddRow(row);
+  }
+  return x;
+}
+
+/// A saved model of random ragged trees with exactly `levels` split
+/// levels on one path (other paths stop early at random), so both sides
+/// of the complete-tree image's level cap are reached deterministically.
+std::string RaggedModelText(size_t levels, size_t width, size_t trees,
+                            uint64_t seed) {
+  Rng rng(seed);
+  std::ostringstream os;
+  os.precision(17);
+  os << "surf-gbrt-v1\n" << width << " 0.25 0.1 " << trees << "\n";
+  for (size_t t = 0; t < trees; ++t) {
+    // Records in pre-order: left child at the next index.
+    std::vector<std::string> records;
+    std::function<size_t(size_t, bool)> grow = [&](size_t left_levels,
+                                                   bool spine) -> size_t {
+      const size_t idx = records.size();
+      records.emplace_back();
+      if (left_levels == 0 || (!spine && rng.Uniform() < 0.25)) {
+        std::ostringstream leaf;
+        leaf.precision(17);
+        leaf << "-1 -1 0 0 " << rng.Uniform(-3.0, 3.0);
+        records[idx] = leaf.str();
+        return idx;
+      }
+      const size_t feature =
+          static_cast<size_t>(rng.Uniform() * static_cast<double>(width)) %
+          width;
+      const double threshold = rng.Uniform();
+      const bool spine_left = rng.Uniform() < 0.5;
+      const size_t left = grow(left_levels - 1, spine && spine_left);
+      const size_t right = grow(left_levels - 1, spine && !spine_left);
+      std::ostringstream node;
+      node.precision(17);
+      node << left << " " << right << " " << feature << " " << threshold
+           << " 0";
+      records[idx] = node.str();
+      return idx;
+    };
+    grow(levels, true);
+    os << records.size() << "\n";
+    for (const std::string& record : records) os << record << "\n";
+  }
+  return os.str();
+}
+
+/// Every batch shape against per-row Predict, bitwise, at 1 and 4
+/// threads: sizes 1–40 (every short last group), 150 (a paper-scaled
+/// swarm), 1025 (one row past a block) and 8193 (the parallel path).
+void ExpectBatchMatchesPredict(const GradientBoostedTrees& fitted,
+                               const std::string& label) {
+  const std::string path =
+      ::testing::TempDir() + "surf_gbrt_engine_thresholds.model";
+  const std::vector<double> thresholds = SplitThresholds(fitted, path);
+  const FeatureMatrix rows = EdgeRows(
+      thresholds, 8193 + 40, kPropertyWidth, 1000 + thresholds.size());
+  std::vector<double> expected(rows.num_rows());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    expected[r] = fitted.Predict(rows.Row(r));
+  }
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (const size_t n : {150u, 1025u, 8193u}) sizes.push_back(n);
+  for (const size_t threads : {1u, 4u}) {
+    GradientBoostedTrees model = fitted;
+    model.set_num_threads(threads);
+    for (const size_t n : sizes) {
+      // Offset slices so each size starts at a different row.
+      const size_t offset = (n * 7) % 40;
+      std::vector<size_t> slice(n);
+      std::iota(slice.begin(), slice.end(), offset);
+      const std::vector<double> batch =
+          model.PredictBatch(rows.Gather(slice));
+      ASSERT_EQ(batch.size(), n);
+      EXPECT_TRUE(SameBits(batch.data(), expected.data() + offset, n))
+          << label << " threads=" << threads << " rows=" << n;
+    }
+  }
+}
+
+TEST(GbrtEngineTest, BatchPredictBitwiseEqualsPerRowPredict) {
+  // Depths 1–12 straddle the complete-tree image's 10-level cap: deeper
+  // ensembles predict through the depth-first walk and must agree too.
+  FeatureMatrix x, fresh_x;
+  std::vector<double> y, fresh_y;
+  MakeProblem(1500, kPropertyWidth, 42, &x, &y);
+  MakeProblem(400, kPropertyWidth, 43, &fresh_x, &fresh_y);
+  const std::string path =
+      ::testing::TempDir() + "surf_gbrt_engine_property.model";
+  for (size_t depth = 1; depth <= 12; ++depth) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    GbrtParams params;
+    params.n_estimators = 12;
+    params.max_depth = depth;
+    GradientBoostedTrees model(params);
+    ASSERT_TRUE(model.Fit(x, y).ok());
+    ExpectBatchMatchesPredict(model, "fit");
+    ASSERT_TRUE(model.ContinueFit(fresh_x, fresh_y, 5).ok());
+    ExpectBatchMatchesPredict(model, "continue_fit");
+
+    ASSERT_TRUE(model.Save(path).ok());
+    const auto loaded = GradientBoostedTrees::Load(path);
+    ASSERT_TRUE(loaded.ok());
+    ExpectBatchMatchesPredict(*loaded, "load");
+    {
+      std::ofstream os(path);
+      os << RaggedModelText(depth, kPropertyWidth, 9, 500 + depth);
+    }
+    const auto ragged = GradientBoostedTrees::Load(path);
+    ASSERT_TRUE(ragged.ok());
+    ExpectBatchMatchesPredict(*ragged, "ragged load");
+
+    SurrogateTrainOptions options;
+    options.gbrt.n_estimators = 10;
+    options.gbrt.max_depth = depth;
+    const auto surrogate =
+        Surrogate::Train(MakeWorkload(600, 60 + depth), options);
+    ASSERT_TRUE(surrogate.ok());
+    const auto warmed =
+        surrogate->WarmStarted(MakeWorkload(200, 80 + depth), 4);
+    ASSERT_TRUE(warmed.ok());
+    ExpectBatchMatchesPredict(
+        dynamic_cast<const GradientBoostedTrees&>(warmed->model()),
+        "warm started");
+  }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------- image kept in step with the trees
+
+TEST(GbrtImageTest, EarlyStoppingTruncationPredictsWithKeptTrees) {
+  FeatureMatrix x;
+  std::vector<double> y;
+  MakeProblem(2000, 4, 90, &x, &y);
+  Rng noise(91);
+  for (double& v : y) v += noise.Gaussian();  // overfits quickly
+  GbrtParams params;
+  params.n_estimators = 400;
+  params.learning_rate = 0.3;
+  params.early_stopping_rounds = 5;
+  params.validation_fraction = 0.3;
+  GradientBoostedTrees model(params);
+  ASSERT_TRUE(model.Fit(x, y).ok());
+  ASSERT_LT(model.num_trees(), 400u);  // rounds past the best were cut
+  ExpectBatchMatchesPredict(model, "early stopped");
+}
+
+TEST(GbrtImageTest, CancelledContinueFitPredictsWithAppendedRounds) {
+  FeatureMatrix x, fresh_x;
+  std::vector<double> y, fresh_y;
+  MakeProblem(1000, 4, 92, &x, &y);
+  MakeProblem(500, 4, 93, &fresh_x, &fresh_y);
+  GbrtParams params;
+  params.n_estimators = 20;
+  GradientBoostedTrees model(params);
+  ASSERT_TRUE(model.Fit(x, y).ok());
+  // A deadline far shorter than the requested rounds: the continuation
+  // returns Cancelled with the rounds it finished still appended.
+  CancelSource source;
+  source.SetDeadline(0.05);
+  model.SetCancelToken(source.token());
+  const Status status = model.ContinueFit(fresh_x, fresh_y, 1u << 30);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  ASSERT_GT(model.num_trees(), 20u);
+  EXPECT_TRUE(model.trained());
+  ExpectBatchMatchesPredict(model, "cancelled continuation");
+}
+
+TEST(GbrtImageTest, CancelledFitLeavesModelUntrained) {
+  FeatureMatrix x;
+  std::vector<double> y;
+  MakeProblem(800, 4, 94, &x, &y);
+  GbrtParams params;
+  params.n_estimators = 10;
+  GradientBoostedTrees model(params);
+  ASSERT_TRUE(model.Fit(x, y).ok());
+  ASSERT_TRUE(model.trained());
+
+  CancelSource source;
+  source.Cancel();
+  model.SetCancelToken(source.token());
+  EXPECT_EQ(model.Fit(x, y).code(), StatusCode::kCancelled);
+  EXPECT_FALSE(model.trained());
+  EXPECT_EQ(model.num_trees(), 0u);
+
+  // A fresh fit on the same object predicts with its new trees only.
+  model.SetCancelToken(CancelToken());
+  ASSERT_TRUE(model.Fit(x, y).ok());
+  EXPECT_EQ(model.num_trees(), 10u);
+  ExpectBatchMatchesPredict(model, "refit");
+}
+
 TEST(SurrogateBatchTest, EvaluateManyMatchesPredict) {
   const RegionWorkload workload = MakeWorkload(2000, 48);
   SurrogateTrainOptions options;
@@ -441,8 +692,7 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
   std::vector<Region> regions;
   for (int i = 0; i < 200; ++i) regions.push_back(space.Sample(&rng));
 
-  std::vector<double> stats;
-  const auto scalar_evals = scalar.EvaluateMany(regions, &stats);
+  const auto scalar_evals = scalar.EvaluateMany(regions);
   const auto batch_evals = batched.EvaluateMany(regions);
   for (size_t i = 0; i < regions.size(); ++i) {
     const FitnessValue direct = scalar.Evaluate(regions[i]);
@@ -450,7 +700,8 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
     EXPECT_DOUBLE_EQ(scalar_evals[i].value, direct.value);
     EXPECT_EQ(batch_evals[i].valid, direct.valid);
     EXPECT_DOUBLE_EQ(batch_evals[i].value, direct.value);
-    EXPECT_DOUBLE_EQ(stats[i], statistic(regions[i]));
+    EXPECT_EQ(scalar_evals[i].statistic, statistic(regions[i]));
+    EXPECT_EQ(batch_evals[i].statistic, statistic(regions[i]));
   }
 }
 

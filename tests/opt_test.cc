@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
+#include "core/surrogate.h"
+#include "core/workload.h"
+#include "geom/bounds.h"
 #include "opt/gso.h"
 #include "opt/naive_search.h"
 #include "opt/objective.h"
 #include "opt/pso.h"
 #include "opt/solution_space.h"
 #include "opt/test_functions.h"
+#include "util/rng.h"
 
 namespace surf {
 namespace {
@@ -259,9 +265,22 @@ TEST(GsoTest, EvaluationCountMatchesCostModel) {
   params.max_iterations = 30;
   params.convergence_tol_frac = 0.0;  // disable early stop
   const GlowwormSwarmOptimizer gso(params);
-  const GsoResult result = gso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
-  // T·L during iterations + one final refresh pass.
-  EXPECT_EQ(result.objective_evaluations, 40u * 30u + 40u);
+  // Count the regions the fitness actually receives.
+  uint64_t rows_received = 0;
+  const FitnessFn scalar = bumps.AsFitnessFn();
+  const BatchFitnessFn counting =
+      [&](const std::vector<Region>& regions) {
+        rows_received += regions.size();
+        std::vector<FitnessValue> out;
+        for (const Region& region : regions) out.push_back(scalar(region));
+        return out;
+      };
+  const GsoResult result = gso.Optimize(counting, UnitSpace(1));
+  EXPECT_EQ(result.objective_evaluations, rows_received);
+  // Only moved particles are re-scored: fewer than the paper's T·L plus
+  // one final refresh pass once particles settle.
+  EXPECT_LT(result.objective_evaluations, 40u * 30u + 40u);
+  EXPECT_GE(result.objective_evaluations, 40u);
 }
 
 TEST(GsoTest, InvalidParticlesStayIsolatedWithoutExploration) {
@@ -322,6 +341,140 @@ TEST(GsoTest, ConvergenceFlagFires) {
   const GsoResult result = gso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.iterations_run, 400u);
+}
+
+// ------------------------------------------------------- golden swarms
+
+/// FNV-1a over the bytes of everything a swarm reports except
+/// `objective_evaluations`, which counts work rather than describing the
+/// outcome. The golden values below were captured before GSO learned to
+/// skip unmoved particles; the swarm itself must not have changed.
+uint64_t SwarmHash(const GsoResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_doubles = [&mix](const std::vector<double>& v) {
+    const uint64_t n = v.size();
+    mix(&n, sizeof(n));
+    if (!v.empty()) mix(v.data(), v.size() * sizeof(double));
+  };
+  for (const Region& p : r.particles) {
+    for (size_t j = 0; j < p.dims(); ++j) {
+      const double c = p.center(j);
+      const double l = p.half_length(j);
+      mix(&c, sizeof(c));
+      mix(&l, sizeof(l));
+    }
+  }
+  mix_doubles(r.fitness);
+  for (const bool v : r.valid) {
+    const uint8_t b = v ? 1 : 0;
+    mix(&b, 1);
+  }
+  mix_doubles(r.luciferin);
+  mix_doubles(r.history.mean_fitness);
+  mix_doubles(r.history.mean_movement);
+  mix_doubles(r.history.valid_fraction);
+  const uint64_t iterations = r.iterations_run;
+  mix(&iterations, sizeof(iterations));
+  const uint8_t flags = (r.converged ? 1 : 0) | (r.cancelled ? 2 : 0);
+  mix(&flags, 1);
+  return h;
+}
+
+struct GoldenSwarm {
+  const char* name;
+  GaussianBumps bumps;
+  GsoParams params;
+  uint64_t hash;
+};
+
+GsoParams SwarmParams(size_t glowworms, size_t iterations, uint64_t seed) {
+  GsoParams params;
+  params.num_glowworms = glowworms;
+  params.max_iterations = iterations;
+  params.seed = seed;
+  return params;
+}
+
+GaussianBumps SinglePocket(double sigma, double floor) {
+  GaussianBumps bumps;
+  bumps.peaks = {{0.5, 0.25}};
+  bumps.sigma = sigma;
+  bumps.validity_floor = floor;
+  return bumps;
+}
+
+TEST(GsoGoldenTest, LandscapeSwarmsMatchGoldenHashes) {
+  // The GsoTest landscapes above, with their parameters.
+  std::vector<GoldenSwarm> cases = {
+      {"three_bumps_s3", ThreeBumps1d(), SwarmParams(150, 150, 3),
+       0x6955bfbd9039022cull},
+      {"three_bumps_s4", ThreeBumps1d(), SwarmParams(120, 100, 4),
+       0x526203cffd08456bull},
+      {"three_bumps_s5", ThreeBumps1d(), SwarmParams(100, 120, 5),
+       0x503378bd0a259979ull},
+      {"three_bumps_s6", ThreeBumps1d(), SwarmParams(50, 40, 6),
+       0x4fd35d391af5d8e3ull},
+      {"three_bumps_no_stop", ThreeBumps1d(), SwarmParams(40, 30, 99),
+       0xea8c05bb22ab1d01ull},
+      {"pocket_isolated", SinglePocket(0.02, 0.5), SwarmParams(60, 50, 8),
+       0xb94b76938bf0932bull},
+      {"pocket_restart", SinglePocket(0.03, 0.4), SwarmParams(80, 200, 9),
+       0x3e42c8a4ce9f31c2ull},
+      {"wide_converging", SinglePocket(0.5, -1.0), SwarmParams(40, 400, 10),
+       0x8fa72c13d297336eull},
+  };
+  cases[4].params.convergence_tol_frac = 0.0;
+  cases[6].params.exploration_restart_prob = 0.2;
+  cases[7].params.convergence_tol_frac = 1e-3;
+  cases[7].params.convergence_window = 5;
+  for (const GoldenSwarm& c : cases) {
+    const GsoResult result = GlowwormSwarmOptimizer(c.params).Optimize(
+        c.bumps.AsFitnessFn(), UnitSpace(1));
+    EXPECT_EQ(SwarmHash(result), c.hash)
+        << c.name << ": 0x" << std::hex << SwarmHash(result);
+  }
+}
+
+TEST(GsoGoldenTest, SurrogateBackedSwarmMatchesGoldenHash) {
+  // A GBRT surrogate of a smooth "mass near a hotspot" statistic over a
+  // 2-d domain, searched through the batched objective as the finder
+  // does.
+  RegionWorkload workload;
+  workload.space = RegionSolutionSpace::ForBounds(
+      Bounds({0.0, 0.0}, {1.0, 1.0}), 0.01, 0.3);
+  workload.features = FeatureMatrix(4);
+  Rng rng(71);
+  for (size_t i = 0; i < 1500; ++i) {
+    const std::vector<double> f =
+        RegionFeatures(workload.space.Sample(&rng));
+    const double dx = f[0] - 0.6;
+    const double dy = f[1] - 0.4;
+    workload.features.AddRow(f);
+    workload.targets.push_back(400.0 * f[2] * f[3] *
+                               std::exp(-(dx * dx + dy * dy) / 0.05));
+  }
+  SurrogateTrainOptions options;
+  options.gbrt.n_estimators = 60;
+  auto surrogate = Surrogate::Train(workload, options);
+  ASSERT_TRUE(surrogate.ok());
+
+  ObjectiveConfig config;
+  config.threshold = 2.0;
+  const RegionObjective objective(surrogate->AsStatisticFn(),
+                                  surrogate->AsBatchStatisticFn(), config);
+  const GsoResult result =
+      GlowwormSwarmOptimizer(SwarmParams(60, 40, 12))
+          .Optimize(objective.AsBatchFitnessFn(), workload.space);
+  EXPECT_GT(result.ValidFraction(), 0.0);
+  EXPECT_EQ(SwarmHash(result), 0x3602fc3adcb4ca0eull)
+      << "0x" << std::hex << SwarmHash(result);
 }
 
 // ---------------------------------------------------------------- PSO
