@@ -288,30 +288,11 @@ class LegacyGbrt {
 };
 
 // ------------------------------------------------------------------
-// Legacy scalar forms of the three accel-layer hot loops, exactly as
+// Legacy scalar forms of the two accel-layer hot loops, exactly as
 // they appeared inline before the dispatch layer existed. They are the
 // baselines of micro_core's kernel-level speedup section: the accel
 // generic backend must match them in time (it IS the same loop), and
 // the native backends must beat them.
-
-/// The pre-accel histogram accumulation from tree.cc's build_feature.
-inline void LegacyHistU8Unit(const uint8_t* bins, const uint32_t* row_ids,
-                             const double* grad, size_t n, double* g,
-                             uint32_t* cnt) {
-  if (row_ids == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t b = bins[i];
-      g[b] += grad[i];
-      ++cnt[b];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t b = bins[row_ids[i]];
-      g[b] += grad[i];
-      ++cnt[b];
-    }
-  }
-}
 
 /// The pre-accel branchless membership scan from EvalShard.
 inline void LegacyMaskScan(const double* col, size_t n, double lo, double hi,

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths every experiment
 // leans on: surrogate prediction, GBRT tree traversal, KDE region-mass
-// integrals, exact range queries across the three back-ends, GSO
+// integrals, exact range queries on the scan and the grid, GSO
 // iterations, and IoU math.
 //
 // Before the google-benchmark suite, main() runs the GBRT engine speedup
@@ -29,7 +29,6 @@
 #include "ml/kde.h"
 #include "ml/tree.h"
 #include "stats/grid_index.h"
-#include "stats/kd_tree.h"
 #include "util/stopwatch.h"
 #include "util/trace.h"
 
@@ -41,7 +40,6 @@ struct MicroFixture {
   SyntheticDataset ds;
   std::unique_ptr<ScanEvaluator> scan;
   std::unique_ptr<GridIndexEvaluator> grid;
-  std::unique_ptr<KdTreeEvaluator> kdtree;
   Surrogate surrogate;
   std::unique_ptr<Kde> kde;
   RegionSolutionSpace space;
@@ -61,7 +59,6 @@ struct MicroFixture {
       f->scan = std::make_unique<ScanEvaluator>(&f->ds.data, stat);
       f->grid =
           std::make_unique<GridIndexEvaluator>(&f->ds.data, stat, 16);
-      f->kdtree = std::make_unique<KdTreeEvaluator>(&f->ds.data, stat);
 
       WorkloadParams wparams;
       wparams.num_queries = 4000;
@@ -121,15 +118,6 @@ void BM_GridIndexEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexEvaluate);
-
-void BM_KdTreeEvaluate(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.kdtree->Evaluate(f.probes[i++ & 255]));
-  }
-}
-BENCHMARK(BM_KdTreeEvaluate);
 
 void BM_KdeRegionMass(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();
@@ -467,20 +455,17 @@ SwarmPredictReport RunSwarmPredictReport() {
 // ===================================================================
 
 constexpr size_t kKernelRows = 1u << 21;  // 2M rows per kernel rep
-constexpr uint32_t kKernelBins = 64;
 
 struct AccelKernelTimes {
   std::string backend;
   double mask_range_ms = 0.0;
   double mask_count_ms = 0.0;
-  double hist_ms = 0.0;
 };
 
 struct AccelReport {
   AccelSelection selection;
   double legacy_mask_range_ms = 0.0;
   double legacy_mask_count_ms = 0.0;
-  double legacy_hist_ms = 0.0;
   std::vector<AccelKernelTimes> backends;
 };
 
@@ -491,16 +476,7 @@ AccelReport RunAccelKernelReport() {
   Rng rng(93);
   std::vector<double> col(kKernelRows);
   std::vector<uint8_t> mask(kKernelRows, 1), scratch_mask(kKernelRows);
-  std::vector<uint8_t> bins(kKernelRows);
-  std::vector<double> grad(kKernelRows);
-  for (size_t i = 0; i < kKernelRows; ++i) {
-    col[i] = rng.Uniform(-10.0, 10.0);
-    bins[i] = static_cast<uint8_t>(
-        static_cast<uint32_t>(rng.Uniform() * kKernelBins) % kKernelBins);
-    grad[i] = rng.Uniform(-1.0, 1.0);
-  }
-  std::vector<double> g(kKernelBins);
-  std::vector<uint32_t> cnt(kKernelBins);
+  for (size_t i = 0; i < kKernelRows; ++i) col[i] = rng.Uniform(-10.0, 10.0);
   uint64_t sink = 0;
 
   report.legacy_mask_range_ms = 1e3 * BestOfSeconds(5, [&] {
@@ -510,12 +486,6 @@ AccelReport RunAccelKernelReport() {
   });
   report.legacy_mask_count_ms = 1e3 * BestOfSeconds(5, [&] {
     sink += bench::LegacyMaskCount(scratch_mask.data(), kKernelRows);
-  });
-  report.legacy_hist_ms = 1e3 * BestOfSeconds(5, [&] {
-    std::fill(g.begin(), g.end(), 0.0);
-    std::fill(cnt.begin(), cnt.end(), 0u);
-    bench::LegacyHistU8Unit(bins.data(), nullptr, grad.data(), kKernelRows,
-                            g.data(), cnt.data());
   });
 
   for (int b = 0; b < kNumAccelBackends; ++b) {
@@ -531,12 +501,6 @@ AccelReport RunAccelKernelReport() {
     });
     times.mask_count_ms = 1e3 * BestOfSeconds(5, [&] {
       sink += ops.mask_count(scratch_mask.data(), kKernelRows);
-    });
-    times.hist_ms = 1e3 * BestOfSeconds(5, [&] {
-      std::fill(g.begin(), g.end(), 0.0);
-      std::fill(cnt.begin(), cnt.end(), 0u);
-      ops.hist_u8_unit(bins.data(), nullptr, grad.data(), kKernelRows,
-                       kKernelBins, g.data(), cnt.data());
     });
     report.backends.push_back(times);
   }
@@ -628,23 +592,18 @@ void WriteReportJson(const SpeedupReport& report, const AccelReport& accel,
      << AccelBackendName(accel.selection.active) << "\",\n";
   os << "  \"accel\": {\n";
   os << "    \"rows\": " << kKernelRows << ",\n";
-  os << "    \"hist_bins\": " << kKernelBins << ",\n";
   os << "    \"legacy\": { \"mask_range_ms\": " << accel.legacy_mask_range_ms
-     << ", \"mask_count_ms\": " << accel.legacy_mask_count_ms
-     << ", \"hist_ms\": " << accel.legacy_hist_ms << " },\n";
+     << ", \"mask_count_ms\": " << accel.legacy_mask_count_ms << " },\n";
   os << "    \"backends\": [\n";
   for (size_t i = 0; i < accel.backends.size(); ++i) {
     const AccelKernelTimes& t = accel.backends[i];
     os << "      { \"name\": \"" << t.backend
        << "\", \"mask_range_ms\": " << t.mask_range_ms
        << ", \"mask_count_ms\": " << t.mask_count_ms
-       << ", \"hist_ms\": " << t.hist_ms
        << ", \"mask_range_speedup_vs_legacy\": "
        << accel.legacy_mask_range_ms / t.mask_range_ms
        << ", \"mask_count_speedup_vs_legacy\": "
-       << accel.legacy_mask_count_ms / t.mask_count_ms
-       << ", \"hist_speedup_vs_legacy\": "
-       << accel.legacy_hist_ms / t.hist_ms << " }"
+       << accel.legacy_mask_count_ms / t.mask_count_ms << " }"
        << (i + 1 < accel.backends.size() ? "," : "") << "\n";
   }
   os << "    ]\n";
@@ -741,18 +700,15 @@ int main(int argc, char** argv) {
               "rows) ==\n",
               surf::kKernelRows);
   const surf::AccelReport accel = surf::RunAccelKernelReport();
-  std::printf("legacy  : mask_range %.2f ms | mask_count %.2f ms | "
-              "hist %.2f ms\n",
-              accel.legacy_mask_range_ms, accel.legacy_mask_count_ms,
-              accel.legacy_hist_ms);
+  std::printf("legacy  : mask_range %.2f ms | mask_count %.2f ms\n",
+              accel.legacy_mask_range_ms, accel.legacy_mask_count_ms);
   for (const surf::AccelKernelTimes& t : accel.backends) {
     std::printf("%-8s: mask_range %.2f ms (%.2fx) | mask_count %.2f ms "
-                "(%.2fx) | hist %.2f ms (%.2fx)\n",
+                "(%.2fx)\n",
                 t.backend.c_str(), t.mask_range_ms,
                 accel.legacy_mask_range_ms / t.mask_range_ms,
                 t.mask_count_ms,
-                accel.legacy_mask_count_ms / t.mask_count_ms, t.hist_ms,
-                accel.legacy_hist_ms / t.hist_ms);
+                accel.legacy_mask_count_ms / t.mask_count_ms);
   }
 
   std::printf("\n== GBRT engine speedup report (vs legacy single-thread "

@@ -4,10 +4,10 @@
 /// \file
 /// \brief Runtime-dispatched SIMD backend selection for the hot kernels.
 ///
-/// The hot loops of GBRT training and exact evaluation — per-feature
-/// histogram builds and the branchless uint8 membership mask scan —
-/// run through one function-pointer table (`AccelOps`, see kernels.h)
-/// with a generic reference implementation plus AVX2 / AVX-512 variants.
+/// The hot loop of exact evaluation — the branchless uint8 membership
+/// mask scan and its count — runs through one function-pointer table
+/// (`AccelOps`, see kernels.h) with a generic reference implementation
+/// plus AVX2 / AVX-512 variants.
 ///
 /// The active table is selected once at first use: the best backend the
 /// host CPU supports, overridable with the `SURF_ACCEL` environment
@@ -19,12 +19,10 @@
 /// hide perf regressions).
 ///
 /// Bit-identity contract: for identical inputs, every backend produces
-/// bitwise-identical outputs for every kernel in the table. Integer
-/// kernels (mask scan, mask count) are trivially order-independent; the
-/// floating-point kernels fix one canonical accumulation order (see
-/// kernels.h) that all backends — including the generic reference —
-/// implement. `tests/accel_test.cc` enforces the contract differentially
-/// on every backend the host supports.
+/// bitwise-identical outputs for every kernel in the table. Both kernels
+/// are integer-valued and so order-independent. `tests/accel_test.cc`
+/// enforces the contract differentially on every backend the host
+/// supports.
 
 #include <string>
 

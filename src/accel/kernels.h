@@ -5,30 +5,23 @@
 /// \brief The per-backend kernel table and the kernel contracts.
 ///
 /// One `AccelOps` table exists per backend (generic / AVX2 / AVX-512);
-/// `accel.h` owns selection. Every kernel is specified to produce
-/// bitwise-identical output on every backend:
+/// `accel.h` owns selection. The table holds only the kernels that
+/// vectorize: `mask_range_and` / `mask_count` are dense streaming
+/// compares (measured ~2.8× / ~6.8× on AVX-512), integer-valued and
+/// therefore bitwise-identical on every backend.
 ///
-///  - `hist_u8_unit` accumulates in plain ascending row order. Every
-///    backend shares the one scalar routine compiled in the generic TU:
-///    measurement killed the vector variants (an AVX-512 lane-private
-///    gather-add-scatter scheme ran 2–4× SLOWER than the scalar loop —
-///    8-byte gathers/scatters cost ~1 element per cycle and the
-///    scatter→gather dependence on repeated bins serializes through
-///    memory; see docs/perf.md). Sharing one compiled routine makes
-///    bit-identity trivial, NaN payloads included. Future vector
-///    attempts must keep ascending-row accumulation order per bin — and
-///    beware that a two-NaN add is not bitwise commutative (x86
-///    propagates the FIRST source operand), so any reordering scheme
-///    must also pin operand order.
-///  - `mask_range_and` / `mask_count` are integer-valued and therefore
-///    order-independent — these ARE profitably vectorized (dense
-///    streaming compares: measured ~2.8× / ~6.8× on AVX-512).
-///
-/// Tree-ensemble prediction has no entry: gather-based vector walks
-/// measured 2.6–5× slower than scalar code, so every backend would only
-/// alias one routine. GBRT predicts through its complete-tree image
-/// (ml/gbrt_image.cc), one scalar kernel compiled like the generic TU
-/// (see docs/perf.md, "Ensemble evaluation").
+/// The GBRT kernels have no entry, because every backend would only
+/// alias one scalar routine:
+///  - histogram accumulation is a scattered read-modify-write keyed by
+///    data-dependent bins; an AVX-512 gather-add-scatter form ran 2–4×
+///    SLOWER than the scalar loop (see docs/perf.md). It stays one loop
+///    in ml/tree.cc, in ascending row order. A future vector attempt
+///    must keep that per-bin order and pin operand order too: a two-NaN
+///    add is not bitwise commutative (x86 propagates the FIRST operand).
+///  - tree-ensemble prediction: gather-based vector walks measured
+///    2.6–5× slower than scalar code. GBRT predicts through its
+///    complete-tree image (ml/gbrt_image.cc), one scalar kernel compiled
+///    like the generic TU (see docs/perf.md, "Ensemble evaluation").
 
 #include <cstddef>
 #include <cstdint>
@@ -45,16 +38,6 @@ struct AccelOps {
   int backend;
   /// Canonical backend name ("generic", "avx2", "avx512").
   const char* name;
-
-  /// Unit-hessian uint8-binned histogram accumulation:
-  ///   for each row i in [0, n): b = bins[row(i)]; g[b] += grad[i]; ++cnt[b]
-  /// where row(i) = i when `row_ids == nullptr` (the sequential
-  /// identity-root fast path) and row_ids[i] otherwise, in the canonical
-  /// order described above. `bins` values must be < num_bins <= 256.
-  /// `g` and `cnt` are accumulated into (not cleared).
-  void (*hist_u8_unit)(const uint8_t* bins, const uint32_t* row_ids,
-                       const double* grad, size_t n, uint32_t num_bins,
-                       double* g, uint32_t* cnt);
 
   /// Branchless membership mask:
   ///   mask[r] &= !(col[r] < lo) & !(col[r] > hi)   for r in [0, n)

@@ -85,12 +85,9 @@ uint64_t MaskCountAvx2(const uint8_t* mask, size_t n) {
 }  // namespace
 
 const bool kAccelAvx2Compiled = true;
-// Histogram: the shared scalar reference (compiled in the generic TU —
-// no wide-ISA recompilation), per the measurements in kernels.h.
 const AccelOps kAccelAvx2Ops = {
     /*backend=*/1,
     /*name=*/"avx2",
-    accel_detail::HistU8UnitRef,
     MaskRangeAvx2,
     MaskCountAvx2,
 };
@@ -107,7 +104,6 @@ const bool kAccelAvx2Compiled = false;
 const AccelOps kAccelAvx2Ops = {
     /*backend=*/1,
     /*name=*/"avx2",
-    accel_detail::HistU8UnitRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

@@ -69,12 +69,9 @@ uint64_t MaskCountAvx512(const uint8_t* mask, size_t n) {
 }  // namespace
 
 const bool kAccelAvx512Compiled = true;
-// Histogram: the shared scalar reference (compiled in the generic TU —
-// no wide-ISA recompilation), per the measurements in kernels.h.
 const AccelOps kAccelAvx512Ops = {
     /*backend=*/2,
     /*name=*/"avx512",
-    accel_detail::HistU8UnitRef,
     MaskRangeAvx512,
     MaskCountAvx512,
 };
@@ -91,7 +88,6 @@ const bool kAccelAvx512Compiled = false;
 const AccelOps kAccelAvx512Ops = {
     /*backend=*/2,
     /*name=*/"avx512",
-    accel_detail::HistU8UnitRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

@@ -23,27 +23,6 @@ uint64_t MaskCountTail(const uint8_t* mask, size_t r0, size_t n) {
   return sum;
 }
 
-void HistU8UnitRef(const uint8_t* bins, const uint32_t* row_ids,
-                   const double* grad, size_t n, uint32_t num_bins,
-                   double* g, uint32_t* cnt) {
-  // Plain ascending row order, shared by every backend (see kernels.h
-  // for why the vector variants were measured out).
-  (void)num_bins;
-  if (row_ids == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t b = bins[i];
-      g[b] += grad[i];
-      ++cnt[b];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t b = bins[row_ids[i]];
-      g[b] += grad[i];
-      ++cnt[b];
-    }
-  }
-}
-
 void MaskRangeRef(const double* col, size_t n, double lo, double hi,
                   uint8_t* mask) {
   MaskRangeTail(col, 0, n, lo, hi, mask);
@@ -58,7 +37,6 @@ uint64_t MaskCountRef(const uint8_t* mask, size_t n) {
 const AccelOps kAccelGenericOps = {
     /*backend=*/0,
     /*name=*/"generic",
-    accel_detail::HistU8UnitRef,
     accel_detail::MaskRangeRef,
     accel_detail::MaskCountRef,
 };

@@ -5,33 +5,23 @@
 #include <numeric>
 
 #include "stats/grid_index.h"
-#include "stats/kd_tree.h"
-#include "stats/rtree.h"
 #include "stats/sharded_evaluator.h"
 
 namespace surf {
 
 std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
                                                const Dataset* data,
-                                               const Statistic& statistic) {
-  switch (kind) {
-    case BackendKind::kScan:
-      return std::make_unique<ScanEvaluator>(data, statistic);
-    case BackendKind::kGridIndex:
-      return std::make_unique<GridIndexEvaluator>(data, statistic);
-    case BackendKind::kKdTree:
-      return std::make_unique<KdTreeEvaluator>(data, statistic);
-    case BackendKind::kRTree:
-      return std::make_unique<RTreeEvaluator>(data, statistic);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
-                                               const Dataset* data,
                                                const Statistic& statistic,
                                                size_t shards) {
-  if (shards <= 1) return MakeEvaluator(kind, data, statistic);
+  if (shards <= 1) {
+    switch (kind) {
+      case BackendKind::kScan:
+        return std::make_unique<ScanEvaluator>(data, statistic);
+      case BackendKind::kGridIndex:
+        return std::make_unique<GridIndexEvaluator>(data, statistic);
+    }
+    return nullptr;
+  }
   ShardingOptions options;
   options.num_shards = shards;
   // Range-partition on the first box dimension so shards become

@@ -16,16 +16,16 @@
 namespace surf {
 
 /// \brief Which exact back-end serves true-statistic evaluations (workload
-/// labelling and result validation).
+/// labelling and result validation). Every back-end answers the
+/// decomposable statistics exactly; medians over regions of more than
+/// 4096 rows come from a quantile sketch and may differ between
+/// back-ends within its rank bound (see RegionEvaluator).
 enum class BackendKind {
-  /// Full scan per query — O(N·d) (the paper's cost model).
+  /// Full scan per query — O(N·d) (the paper's cost model, and the
+  /// reference every back-end agreement test compares against).
   kScan,
   /// Uniform grid with pre-aggregated cells.
   kGridIndex,
-  /// Median-split k-d tree with subtree aggregates.
-  kKdTree,
-  /// STR-bulk-loaded aggregate R-tree (§VI's spatial-index substrate).
-  kRTree,
 };
 
 /// \brief End-to-end configuration of the SuRF pipeline.
@@ -104,23 +104,18 @@ class Surf {
   std::unique_ptr<SurfFinder> finder_;
 };
 
-/// Constructs the requested exact back-end over a dataset.
-std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
-                                               const Dataset* data,
-                                               const Statistic& statistic);
-
-/// Shard-aware overload: `shards` <= 1 defers to the single-evaluator
-/// form above (the scan, k-d tree and R-tree keep a raw pointer into
-/// `data` — the dataset must outlive the evaluator); >= 2 builds
-/// a ShardedScanEvaluator over `shards` row-range shards
-/// range-partitioned on the statistic's first region column (`kind`
-/// then only describes what a single-shard request would have used —
-/// the sharded scan is its own exact backend, and it alone owns
-/// materialized shard chunks instead of referencing `data`).
+/// Constructs the requested exact back-end over a dataset. `shards` <= 1
+/// builds the `kind` evaluator (the scan keeps a raw pointer into `data`
+/// — the dataset must outlive it; the grid copies what it needs); >= 2
+/// builds a ShardedScanEvaluator over `shards` row-range shards
+/// range-partitioned on the statistic's first region column (`kind` then
+/// only describes what a single-shard request would have used — the
+/// sharded scan is its own exact backend, and it owns materialized shard
+/// chunks instead of referencing `data`).
 std::unique_ptr<RegionEvaluator> MakeEvaluator(BackendKind kind,
                                                const Dataset* data,
                                                const Statistic& statistic,
-                                               size_t shards);
+                                               size_t shards = 1);
 
 /// Fits the Eq. 8 KDE data prior over a dataset's region columns on a
 /// bounded subsample (deterministic for a given seed). Shared by

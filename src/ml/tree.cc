@@ -1,7 +1,5 @@
 #include "ml/tree.h"
 
-#include "accel/accel.h"
-
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -168,15 +166,6 @@ struct RegressionTree::TrainState {
       const uint32_t base = binned->bin_offset(f);
       double* g = hist.g.data() + base;
       uint32_t* cnt = hist.cnt.data() + base;
-      // The GBRT training path (unit hessians + byte-wide bins) runs
-      // through the dispatched kernel table; wide-bin and weighted-
-      // hessian builds keep the scalar loop below.
-      if (unit_hess && binned->has_packed8()) {
-        Accel().hist_u8_unit(binned->col8(f),
-                             sequential ? nullptr : row_ids, gsrc, n, nb, g,
-                             cnt);
-        return;
-      }
       auto accumulate = [&](const auto* col) {
         if (unit_hess) {
           for (size_t i = 0; i < n; ++i) {
@@ -205,8 +194,7 @@ struct RegressionTree::TrainState {
     // Serial unit-hessian builds process feature pairs per row pass so
     // the row-id load amortizes over two histograms (the parallel path
     // keeps one feature per task — same per-feature accumulation order,
-    // bit-identical result). The accel histogram kernel shares that
-    // exact per-feature order, so the two paths stay interchangeable.
+    // bit-identical result).
     auto build_feature_pair = [&](size_t fa, size_t fb) {
       const uint32_t f0 = features[fa];
       const uint32_t f1 = features[fb];

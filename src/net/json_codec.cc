@@ -166,8 +166,6 @@ const char* BackendName(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScan: return "scan";
     case BackendKind::kGridIndex: return "grid_index";
-    case BackendKind::kKdTree: return "kd_tree";
-    case BackendKind::kRTree: return "rtree";
   }
   return "grid_index";
 }
@@ -175,10 +173,8 @@ const char* BackendName(BackendKind kind) {
 StatusOr<BackendKind> BackendFromName(const std::string& name) {
   if (name == "scan") return BackendKind::kScan;
   if (name == "grid_index") return BackendKind::kGridIndex;
-  if (name == "kd_tree") return BackendKind::kKdTree;
-  if (name == "rtree") return BackendKind::kRTree;
   return Status::InvalidArgument(
-      "unknown backend '" + name + "' (scan|grid_index|kd_tree|rtree)");
+      "unknown backend '" + name + "' (scan|grid_index)");
 }
 
 StatusOr<StatisticKind> StatisticKindFromName(const std::string& name) {

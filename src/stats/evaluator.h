@@ -16,7 +16,16 @@ namespace surf {
 
 /// \brief Interface of the "back-end data system" that computes the true
 /// statistic f(x, l) for a region (paper Def. 3). Implementations trade
-/// build cost for query cost; all of them are exact.
+/// build cost for query cost.
+///
+/// Count, sum, average, variance and label ratio are exact on every
+/// implementation (the summed ones up to floating-point reassociation).
+/// The median is exact only while a region holds at most
+/// QuantileSketch::kDefaultCapacity (4096) rows. Past that its sketch
+/// compacts, the answer stays within the sketch's rank bound, and it
+/// depends on the order rows are fed in — so the scan, the grid and the
+/// sharded scan at different shard counts may return different medians
+/// for the same large region.
 ///
 /// Evaluators count how many region evaluations they served — the paper's
 /// cost model is "number of f evaluations × cost per evaluation", and the

@@ -17,11 +17,13 @@ namespace surf {
 /// contribute pre-aggregated block statistics (count, sum, sum of squares,
 /// label matches) in O(1); every other intersecting cell runs the accel
 /// mask kernels over its slice, on only the dimensions where the cell
-/// touches a face of the box. Exact for all statistic kinds (the median
-/// scans every intersecting cell so each raw value reaches the
-/// accumulator's quantile sketch), and bit-identical on every accel
-/// backend: cells are visited in odometer order and rows within a cell in
-/// dataset order, whatever the kernel width.
+/// touches a face of the box. The median scans every intersecting cell so
+/// each raw value reaches the accumulator's quantile sketch; rows arrive
+/// in cell order, not dataset order, so once a region holds more than the
+/// sketch's capacity its median can differ from the scan's within the
+/// sketch's rank bound (see RegionEvaluator). Labels are bit-identical on
+/// every accel backend: cells are visited in odometer order and rows
+/// within a cell in dataset order, whatever the kernel width.
 ///
 /// The index owns its copy of the data (d × N doubles, plus N for value
 /// kinds) and is immutable after construction, so one instance can label

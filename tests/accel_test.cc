@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -95,138 +94,6 @@ double EdgyValue(Rng* rng) {
 // kernel, 64 for its count loop).
 const size_t kRowCorpus[] = {0,  1,  7,  8,  9,  15, 16, 17,
                              31, 32, 33, 63, 64, 65, 100};
-// Histogram rows: small shapes plus counts around 8K — the scale GBRT
-// training actually feeds the kernel — with off-by-one and odd-remainder
-// neighbors so any future vectorized variant trips its tail handling.
-const size_t kHistRowCorpus[] = {0,    1,    7,    8,    9,    100,
-                                 8191, 8192, 8193, 8199, 8201, 12288};
-
-// ------------------------------------------------------------- histogram
-
-struct HistResult {
-  std::vector<double> g;
-  std::vector<uint32_t> cnt;
-};
-
-HistResult RunHist(const AccelOps& ops, const std::vector<uint8_t>& bins,
-                   const uint32_t* row_ids, const std::vector<double>& grad,
-                   uint32_t num_bins) {
-  HistResult out;
-  out.g.assign(num_bins, 0.0);
-  out.cnt.assign(num_bins, 0u);
-  ops.hist_u8_unit(bins.data(), row_ids, grad.data(), grad.size(), num_bins,
-                   out.g.data(), out.cnt.data());
-  return out;
-}
-
-TEST(AccelHistTest, BitIdenticalAcrossBackendsOverShapesAndSeeds) {
-  // Every backend aliases one compiled histogram routine, so equality is
-  // strictly bitwise even for NaN gradient payloads — a guarantee a
-  // vectorized variant could NOT give: with two differently-patterned
-  // NaNs in one bin (injected quiet NaN plus the ∞ − ∞ indefinite), x86
-  // `add` propagates its FIRST source operand and the compiler may emit
-  // either operand order for `a += b`, so two-NaN sums are not pinned at
-  // the C level. This test is the tripwire for anyone re-vectorizing.
-  // Non-multiple-of-8 bin widths on purpose; 256 is the packed8 maximum.
-  const uint32_t kBinWidths[] = {2, 3, 13, 64, 97, 256};
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    for (size_t n : kHistRowCorpus) {
-      for (uint32_t nb : kBinWidths) {
-        std::vector<uint8_t> bins(n);
-        std::vector<double> grad(n);
-        std::vector<uint32_t> perm(n);
-        for (size_t i = 0; i < n; ++i) {
-          bins[i] = static_cast<uint8_t>(
-              static_cast<uint32_t>(rng.Uniform() * nb) % nb);
-          grad[i] = EdgyValue(&rng);
-          perm[i] = static_cast<uint32_t>(i);
-        }
-        rng.Shuffle(&perm);
-        const HistResult ref_seq =
-            RunHist(kAccelGenericOps, bins, nullptr, grad, nb);
-        const HistResult ref_idx =
-            RunHist(kAccelGenericOps, bins, perm.data(), grad, nb);
-        for (AccelBackend b : SupportedBackends()) {
-          const AccelOps& ops = AccelOpsFor(b);
-          const HistResult got_seq = RunHist(ops, bins, nullptr, grad, nb);
-          EXPECT_TRUE(SameBits(ref_seq.g, got_seq.g))
-              << ops.name << " sequential g, n=" << n << " bins=" << nb;
-          EXPECT_EQ(ref_seq.cnt, got_seq.cnt)
-              << ops.name << " sequential cnt, n=" << n << " bins=" << nb;
-          const HistResult got_idx =
-              RunHist(ops, bins, perm.data(), grad, nb);
-          EXPECT_TRUE(SameBits(ref_idx.g, got_idx.g))
-              << ops.name << " indexed g, n=" << n << " bins=" << nb;
-          EXPECT_EQ(ref_idx.cnt, got_idx.cnt)
-              << ops.name << " indexed cnt, n=" << n << " bins=" << nb;
-        }
-      }
-    }
-  }
-}
-
-TEST(AccelHistTest, FiniteGradientsAreStrictlyBitIdentical) {
-  // Finite gradients — the only thing GBRT training ever feeds this
-  // kernel — at training-scale row counts. Denormals, signed zeros and
-  // mixed magnitudes stay in the corpus.
-  const uint32_t kBinWidths[] = {3, 13, 64, 256};
-  const size_t kRows[] = {100, 8192, 8201};
-  Rng rng(11);
-  for (size_t n : kRows) {
-    for (uint32_t nb : kBinWidths) {
-      std::vector<uint8_t> bins(n);
-      std::vector<double> grad(n);
-      std::vector<uint32_t> perm(n);
-      for (size_t i = 0; i < n; ++i) {
-        bins[i] = static_cast<uint8_t>(
-            static_cast<uint32_t>(rng.Uniform() * nb) % nb);
-        const double roll = rng.Uniform();
-        grad[i] = roll < 0.02   ? -0.0
-                  : roll < 0.04 ? 5e-324
-                  : roll < 0.06 ? 1e300
-                                : rng.Uniform(-10.0, 10.0);
-        perm[i] = static_cast<uint32_t>(i);
-      }
-      rng.Shuffle(&perm);
-      const HistResult ref_seq =
-          RunHist(kAccelGenericOps, bins, nullptr, grad, nb);
-      const HistResult ref_idx =
-          RunHist(kAccelGenericOps, bins, perm.data(), grad, nb);
-      for (AccelBackend b : SupportedBackends()) {
-        const AccelOps& ops = AccelOpsFor(b);
-        const HistResult got_seq = RunHist(ops, bins, nullptr, grad, nb);
-        EXPECT_TRUE(SameBits(ref_seq.g, got_seq.g))
-            << ops.name << " sequential g, n=" << n << " bins=" << nb;
-        EXPECT_EQ(ref_seq.cnt, got_seq.cnt);
-        const HistResult got_idx = RunHist(ops, bins, perm.data(), grad, nb);
-        EXPECT_TRUE(SameBits(ref_idx.g, got_idx.g))
-            << ops.name << " indexed g, n=" << n << " bins=" << nb;
-        EXPECT_EQ(ref_idx.cnt, got_idx.cnt);
-      }
-    }
-  }
-}
-
-TEST(AccelHistTest, CountsMatchDirectTally) {
-  // Sanity beyond differential: the counts are an exact integer
-  // histogram of the bin bytes on every backend.
-  Rng rng(7);
-  const uint32_t nb = 17;
-  const size_t n = 8197;
-  std::vector<uint8_t> bins(n);
-  std::vector<double> grad(n, 1.0);
-  std::vector<uint32_t> expect(nb, 0u);
-  for (size_t i = 0; i < n; ++i) {
-    bins[i] = static_cast<uint8_t>(rng.Uniform() * nb) % nb;
-    ++expect[bins[i]];
-  }
-  for (AccelBackend b : SupportedBackends()) {
-    const HistResult got =
-        RunHist(AccelOpsFor(b), bins, nullptr, grad, nb);
-    EXPECT_EQ(expect, got.cnt) << AccelOpsFor(b).name;
-  }
-}
 
 // ------------------------------------------------------------- mask scan
 
@@ -303,7 +170,6 @@ TEST(AccelMaskTest, UnalignedRowsStayBitIdentical) {
 TEST(AccelSelectTest, TablesAreSelfConsistent) {
   for (AccelBackend b : AllBackends()) {
     const AccelOps& ops = AccelOpsFor(b);
-    EXPECT_NE(ops.hist_u8_unit, nullptr);
     EXPECT_NE(ops.mask_range_and, nullptr);
     EXPECT_NE(ops.mask_count, nullptr);
     if (AccelCompiled(b)) {

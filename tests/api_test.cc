@@ -29,7 +29,7 @@ v2::MineRequest SampleV2() {
   request.search.topk.k = 5;
   request.training.workload.num_queries = 1234;
   request.training.surrogate.gbrt.n_estimators = 55;
-  request.execution.backend = BackendKind::kKdTree;
+  request.execution.backend = BackendKind::kScan;
   request.execution.use_kde = false;
   request.execution.validate = true;
   request.execution.record_evaluations = true;
@@ -220,9 +220,9 @@ const std::vector<V1Twin>& V1Twins() {
            "cv_folds": 3, "seed": 11}}})"},
       {"backend_shards",
        R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
-           "backend": "kd_tree", "shards": 4})",
+           "backend": "scan", "shards": 4})",
        R"({"api_version": 2, "dataset": "d", "query": {"statistic":
-           {"region_cols": [0, 1]}}, "execution": {"backend": "kd_tree",
+           {"region_cols": [0, 1]}}, "execution": {"backend": "scan",
            "shards": 4}})"},
       {"shards_zero_normalizes",
        R"({"dataset": "d", "statistic": {"region_cols": [0, 1]},
@@ -267,7 +267,7 @@ const std::vector<V1Twin>& V1Twins() {
            "direction": "below", "mode": "topk", "topk": {"k": 2},
            "finder": {"c": 3}, "workload": {"num_queries": 300},
            "surrogate": {"gbrt": {"n_estimators": 20}},
-           "backend": "rtree", "shards": 8, "cluster": true,
+           "backend": "scan", "shards": 8, "cluster": true,
            "use_kde": false, "validate": true, "record_evaluations": true,
            "trace": true})",
        R"({"api_version": 2, "dataset": "d", "query": {"statistic":
@@ -276,7 +276,7 @@ const std::vector<V1Twin>& V1Twins() {
            "search": {"finder": {"c": 3}, "topk": {"k": 2}},
            "training": {"workload": {"num_queries": 300},
            "surrogate": {"gbrt": {"n_estimators": 20}}},
-           "execution": {"backend": "rtree", "shards": 8, "cluster": true,
+           "execution": {"backend": "scan", "shards": 8, "cluster": true,
            "use_kde": false, "validate": true, "record_evaluations": true,
            "trace": true}})"},
   };
@@ -317,7 +317,13 @@ TEST(V1TranslationTest, RejectionsKeepTheirMessages) {
        "unknown direction 'sideways' (above|below)"},
       {R"({"dataset": "d", "statistic": {"region_cols": [0]},
            "backend": "btree"})",
-       "unknown backend 'btree' (scan|grid_index|kd_tree|rtree)"},
+       "unknown backend 'btree' (scan|grid_index)"},
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "backend": "kd_tree"})",
+       "unknown backend 'kd_tree' (scan|grid_index)"},
+      {R"({"dataset": "d", "statistic": {"region_cols": [0]},
+           "backend": "rtree"})",
+       "unknown backend 'rtree' (scan|grid_index)"},
       {R"({"statistic": {"region_cols": [0]}})",
        "field 'dataset' is required"},
       {R"({"dataset": "", "statistic": {"region_cols": [0]}})",

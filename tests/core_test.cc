@@ -382,9 +382,12 @@ TEST(SurfTest, EndToEndDensityMining) {
 
 TEST(SurfTest, BackendsProduceSameWorkloadTargets) {
   const SyntheticDataset ds = DensityData(2, 1, 12);
-  for (BackendKind kind :
-       {BackendKind::kScan, BackendKind::kGridIndex, BackendKind::kKdTree}) {
-    auto eval = MakeEvaluator(kind, &ds.data, Statistic::Count({0, 1}));
+  for (const auto& [kind, shards] :
+       {std::pair{BackendKind::kScan, size_t{1}},
+        std::pair{BackendKind::kGridIndex, size_t{1}},
+        std::pair{BackendKind::kScan, size_t{2}}}) {
+    auto eval =
+        MakeEvaluator(kind, &ds.data, Statistic::Count({0, 1}), shards);
     // Same seed → same queries → identical targets across back-ends.
     WorkloadParams params;
     params.num_queries = 100;

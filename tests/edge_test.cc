@@ -14,11 +14,20 @@
 #include "ml/gbrt.h"
 #include "ml/kde.h"
 #include "stats/grid_index.h"
-#include "stats/kd_tree.h"
-#include "stats/rtree.h"
 
 namespace surf {
 namespace {
+
+/// The exact back-ends the degenerate-data cases run over: the scan, the
+/// grid, and the sharded scan at 2 shards.
+std::vector<std::unique_ptr<RegionEvaluator>> AllBackends(
+    const Dataset* ds, const Statistic& stat) {
+  std::vector<std::unique_ptr<RegionEvaluator>> backends;
+  backends.push_back(MakeEvaluator(BackendKind::kScan, ds, stat));
+  backends.push_back(MakeEvaluator(BackendKind::kGridIndex, ds, stat));
+  backends.push_back(MakeEvaluator(BackendKind::kScan, ds, stat, 2));
+  return backends;
+}
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream os(path);
@@ -31,31 +40,27 @@ TEST(EdgeDataTest, AllPointsIdentical) {
   Dataset ds({"x", "y"});
   for (int i = 0; i < 100; ++i) ds.AddRow({0.5, 0.5});
   // Every back-end must handle a zero-extent bounding box.
-  for (int backend = 0; backend < 4; ++backend) {
-    std::unique_ptr<RegionEvaluator> eval;
-    const Statistic stat = Statistic::Count({0, 1});
-    switch (backend) {
-      case 0: eval = std::make_unique<ScanEvaluator>(&ds, stat); break;
-      case 1:
-        eval = std::make_unique<GridIndexEvaluator>(&ds, stat);
-        break;
-      case 2: eval = std::make_unique<KdTreeEvaluator>(&ds, stat); break;
-      default: eval = std::make_unique<RTreeEvaluator>(&ds, stat); break;
-    }
-    EXPECT_DOUBLE_EQ(eval->Evaluate(Region({0.5, 0.5}, {0.1, 0.1})),
+  const auto backends = AllBackends(&ds, Statistic::Count({0, 1}));
+  for (size_t b = 0; b < backends.size(); ++b) {
+    EXPECT_DOUBLE_EQ(backends[b]->Evaluate(Region({0.5, 0.5}, {0.1, 0.1})),
                      100.0)
-        << "backend " << backend;
-    EXPECT_DOUBLE_EQ(eval->Evaluate(Region({0.9, 0.9}, {0.1, 0.1})), 0.0)
-        << "backend " << backend;
+        << "backend " << b;
+    EXPECT_DOUBLE_EQ(backends[b]->Evaluate(Region({0.9, 0.9}, {0.1, 0.1})),
+                     0.0)
+        << "backend " << b;
   }
 }
 
 TEST(EdgeDataTest, SingleRowDataset) {
   Dataset ds({"x"});
   ds.AddRow({0.3});
-  KdTreeEvaluator eval(&ds, Statistic::Count({0}));
-  EXPECT_DOUBLE_EQ(eval.Evaluate(Region({0.3}, {0.01})), 1.0);
-  EXPECT_DOUBLE_EQ(eval.Evaluate(Region({0.7}, {0.01})), 0.0);
+  const auto backends = AllBackends(&ds, Statistic::Count({0}));
+  for (size_t b = 0; b < backends.size(); ++b) {
+    EXPECT_DOUBLE_EQ(backends[b]->Evaluate(Region({0.3}, {0.01})), 1.0)
+        << "backend " << b;
+    EXPECT_DOUBLE_EQ(backends[b]->Evaluate(Region({0.7}, {0.01})), 0.0)
+        << "backend " << b;
+  }
 }
 
 TEST(EdgeDataTest, ZeroWidthQueryBox) {

@@ -267,7 +267,8 @@ v2::MineRequest RandomizedRequest(uint64_t seed) {
   surrogate.test_fraction = rng.Uniform(0.1, 0.4);
   surrogate.seed = rng.UniformInt(1 << 30);
   v2::ExecutionPolicy& execution = r.execution;
-  execution.backend = static_cast<BackendKind>(rng.UniformInt(4));
+  execution.backend =
+      rng.Bernoulli(0.5) ? BackendKind::kScan : BackendKind::kGridIndex;
   execution.shards = 1 + rng.UniformInt(64);
   execution.cluster = rng.Bernoulli(0.5);
   execution.use_kde = rng.Bernoulli(0.5);

@@ -1563,6 +1563,24 @@ TEST(SurfHandlerTest, V1AndV2BodiesShareTheCacheEntry) {
   EXPECT_EQ(bad_v2.status, 400);
   EXPECT_EQ(bad_v1.status, 400);
   EXPECT_EQ(bad_v1.body, bad_v2.body);
+
+  // The retired tree back-ends are unknown names in both schemas.
+  ClientResponse kd_v1 = client.Request(
+      "POST", "/v1/mine",
+      R"({"dataset": "web", "statistic": {"region_cols": [0, 1]},
+          "backend": "kd_tree"})");
+  ClientResponse rtree_v2 = client.Request(
+      "POST", "/v1/mine",
+      R"({"api_version": 2, "dataset": "web", "query": {"statistic":
+          {"region_cols": [0, 1]}}, "execution": {"backend": "rtree"}})");
+  EXPECT_EQ(kd_v1.status, 400);
+  EXPECT_NE(kd_v1.body.find("unknown backend 'kd_tree' (scan|grid_index)"),
+            std::string::npos)
+      << kd_v1.body;
+  EXPECT_EQ(rtree_v2.status, 400);
+  EXPECT_NE(rtree_v2.body.find("unknown backend 'rtree' (scan|grid_index)"),
+            std::string::npos)
+      << rtree_v2.body;
 }
 
 TEST(SurfHandlerTest, JobLifecycleSubmitPollCancel) {

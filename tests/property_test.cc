@@ -17,9 +17,7 @@
 #include "opt/naive_search.h"
 #include "opt/objective.h"
 #include "stats/grid_index.h"
-#include "stats/kd_tree.h"
 #include "stats/quantile_sketch.h"
-#include "stats/rtree.h"
 #include "stats/sharded_evaluator.h"
 #include "util/rng.h"
 #include "util/summary.h"
@@ -104,7 +102,7 @@ TEST_P(StatisticLawsTest, AverageIsBoundedByExtremes) {
   const auto [seed, dims] = GetParam();
   const size_t d = static_cast<size_t>(dims);
   const Dataset ds = RandomDataset(1200, d, static_cast<uint64_t>(seed));
-  KdTreeEvaluator eval(&ds, Statistic::Average(RegionCols(d), d));
+  GridIndexEvaluator eval(&ds, Statistic::Average(RegionCols(d), d));
   const auto& values = ds.column(d);
   const double vmin = *std::min_element(values.begin(), values.end());
   const double vmax = *std::max_element(values.begin(), values.end());
@@ -126,7 +124,7 @@ TEST_P(StatisticLawsTest, VarianceIsNonNegative) {
   const auto [seed, dims] = GetParam();
   const size_t d = static_cast<size_t>(dims);
   const Dataset ds = RandomDataset(1000, d, static_cast<uint64_t>(seed));
-  RTreeEvaluator eval(&ds, Statistic::VarianceOf(RegionCols(d), d));
+  GridIndexEvaluator eval(&ds, Statistic::VarianceOf(RegionCols(d), d));
   Rng rng(static_cast<uint64_t>(seed) + 17);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> center(d), half(d);

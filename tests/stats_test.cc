@@ -1,20 +1,21 @@
 // Tests for the statistics engine: statistic reduction semantics, the
-// three exact back-ends (scan / grid / k-d tree) and their agreement, and
-// the empirical CDF.
+// exact back-ends (scan / grid / sharded scan) and their agreement, the
+// median's sketch bound on large regions, and the empirical CDF.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
 
 #include "accel/accel.h"
+#include "core/surf.h"
 #include "data/dataset.h"
 #include "stats/ecdf.h"
 #include "stats/evaluator.h"
 #include "stats/grid_index.h"
-#include "stats/kd_tree.h"
-#include "stats/rtree.h"
+#include "stats/sharded_evaluator.h"
 #include "stats/statistic.h"
 #include "util/rng.h"
 
@@ -174,25 +175,25 @@ TEST(ScanEvaluatorTest, AverageUndefinedOutsideData) {
   EXPECT_NEAR(eval.Evaluate(Region({0.5}, {0.5})), 5.0, 1e-9);
 }
 
-/// Parameterized agreement suite: every back-end must produce the exact
-/// same answers as the reference scan for every statistic kind.
-struct BackendCase {
-  const char* name;
-  int backend;  // 0 scan, 1 grid, 2 kdtree
-};
-
+/// Parameterized agreement suite: every back-end must produce the same
+/// answers as the reference scan for every statistic kind. The regions
+/// hold at most 3000 rows, so the median's sketch never compacts and is
+/// exact too (MedianSketchTest covers the large-region case).
 class BackendAgreementTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+/// 0 scan, 1 grid, 2 one natural-order shard, 3 three shards
+/// range-partitioned as MakeEvaluator builds them.
 std::unique_ptr<RegionEvaluator> MakeBackend(int which, const Dataset* ds,
                                              const Statistic& stat) {
   switch (which) {
     case 1:
       return std::make_unique<GridIndexEvaluator>(ds, stat, 8);
     case 2:
-      return std::make_unique<KdTreeEvaluator>(ds, stat, 16);
+      return std::make_unique<ShardedScanEvaluator>(
+          ShardedDataset::Partition(*ds, ShardingOptions{}), stat);
     case 3:
-      return std::make_unique<RTreeEvaluator>(ds, stat, 8, 32);
+      return MakeEvaluator(BackendKind::kScan, ds, stat, 3);
     default:
       return std::make_unique<ScanEvaluator>(ds, stat);
   }
@@ -248,7 +249,8 @@ TEST_P(BackendAgreementTest, MatchesScanOnRandomQueries) {
 
 std::string BackendCaseName(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* backends[] = {"scan", "grid", "kdtree", "rtree"};
+  static const char* backends[] = {"scan", "grid", "sharded1",
+                                   "sharded3"};
   static const char* kinds[] = {"count", "avg",    "sum",
                                 "median", "var",   "ratio"};
   return std::string(backends[std::get<0>(info.param)]) + "_" +
@@ -385,44 +387,65 @@ TEST(GridIndexTest, GoldenLabelsOnEveryAccelBackend) {
   SetActiveAccelBackend(original);
 }
 
-TEST(KdTreeTest, BuildsBalancedNodes) {
-  const Dataset ds = MakeRandomData(1000, 2, 10);
-  KdTreeEvaluator eval(&ds, Statistic::Count({0, 1}), 16);
-  EXPECT_GT(eval.num_nodes(), 60u);   // ~2*1000/16
-  EXPECT_LT(eval.num_nodes(), 300u);
-}
-
-TEST(KdTreeTest, FullDomainQueryCountsEverything) {
-  const Dataset ds = MakeRandomData(777, 3, 11);
-  KdTreeEvaluator eval(&ds, Statistic::Count({0, 1, 2}));
-  const Region all({0.5, 0.5, 0.5}, {1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(eval.Evaluate(all), 777.0);
-}
-
-TEST(RTreeTest, StructureIsShallow) {
-  const Dataset ds = MakeRandomData(4000, 2, 12);
-  RTreeEvaluator eval(&ds, Statistic::Count({0, 1}), 16, 64);
-  // 4000/64 ≈ 63 leaves, fanout 16 → height 3 (leaves, inner, root).
-  EXPECT_LE(eval.height(), 4u);
-  EXPECT_GE(eval.height(), 2u);
-}
-
-TEST(RTreeTest, FullDomainQueryCountsEverything) {
-  const Dataset ds = MakeRandomData(901, 3, 13);
-  RTreeEvaluator eval(&ds, Statistic::Count({0, 1, 2}));
-  EXPECT_DOUBLE_EQ(
-      eval.Evaluate(Region({0.5, 0.5, 0.5}, {1.0, 1.0, 1.0})), 901.0);
-}
-
-TEST(RTreeTest, OneDimensionalData) {
-  // STR tiling must cope with d = 1 (no secondary sort dimension).
+TEST(GridIndexTest, OneDimensionalData) {
+  // The grid and the sharded scan must cope with d = 1, and a box
+  // covering the whole domain counts every row.
   const Dataset ds = MakeRandomData(512, 1, 14);
-  RTreeEvaluator eval(&ds, Statistic::Count({0}), 8, 16);
-  ScanEvaluator ref(&ds, Statistic::Count({0}));
-  Rng rng(15);
-  for (int q = 0; q < 30; ++q) {
-    const Region region({rng.Uniform()}, {rng.Uniform(0.05, 0.3)});
-    EXPECT_DOUBLE_EQ(eval.Evaluate(region), ref.Evaluate(region));
+  const Statistic stat = Statistic::Count({0});
+  ScanEvaluator ref(&ds, stat);
+  for (int which : {1, 3}) {
+    auto eval = MakeBackend(which, &ds, stat);
+    EXPECT_DOUBLE_EQ(eval->Evaluate(Region({0.5}, {1.0})), 512.0);
+    Rng rng(15);
+    for (int q = 0; q < 30; ++q) {
+      const Region region({rng.Uniform()}, {rng.Uniform(0.05, 0.3)});
+      EXPECT_DOUBLE_EQ(eval->Evaluate(region), ref.Evaluate(region))
+          << "backend " << which << " query " << q;
+    }
+  }
+}
+
+/// Past QuantileSketch::kDefaultCapacity rows in one region the median
+/// sketch compacts, and its answer then depends on the order rows reach
+/// it: the scan feeds dataset order, the grid cell order, the sharded
+/// scan merges per-shard sketches. No back-end is exact there, but each
+/// must stay within the sketch's 2% rank bound of the true median.
+TEST(MedianSketchTest, LargeRegionsStayWithinRankBound) {
+  const size_t d = 2;
+  const Dataset ds = MakeRandomData(30000, d, 21);
+  const Statistic stat = Statistic::MedianOf({0, 1}, d);
+  std::vector<std::unique_ptr<RegionEvaluator>> backends;
+  backends.push_back(std::make_unique<ScanEvaluator>(&ds, stat));
+  backends.push_back(MakeEvaluator(BackendKind::kGridIndex, &ds, stat));
+  backends.push_back(MakeEvaluator(BackendKind::kScan, &ds, stat, 2));
+  backends.push_back(MakeEvaluator(BackendKind::kScan, &ds, stat, 8));
+
+  Rng rng(22);
+  for (int q = 0; q < 12; ++q) {
+    const Region region({rng.Uniform(0.4, 0.6), rng.Uniform(0.4, 0.6)},
+                        {rng.Uniform(0.3, 0.5), rng.Uniform(0.3, 0.5)});
+    std::vector<double> inside;
+    for (size_t r = 0; r < ds.num_rows(); ++r) {
+      if (region.Contains({ds.column(0)[r], ds.column(1)[r]})) {
+        inside.push_back(ds.column(d)[r]);
+      }
+    }
+    ASSERT_GT(inside.size(), QuantileSketch::kDefaultCapacity);
+    const size_t mid = (inside.size() - 1) / 2;
+    std::nth_element(inside.begin(), inside.begin() + mid, inside.end());
+    const double exact = inside[mid];
+    const double bound = 0.02 * static_cast<double>(inside.size());
+    for (size_t b = 0; b < backends.size(); ++b) {
+      const double answer = backends[b]->Evaluate(region);
+      const double lo = std::min(answer, exact);
+      const double hi = std::max(answer, exact);
+      const auto between = std::count_if(
+          inside.begin(), inside.end(),
+          [&](double v) { return v > lo && v < hi; });
+      EXPECT_LE(static_cast<double>(between), bound)
+          << "backend " << b << " query " << q << ": answer " << answer
+          << " vs exact " << exact;
+    }
   }
 }
 
