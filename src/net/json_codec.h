@@ -4,21 +4,20 @@
 /// \file
 /// \brief JSON codecs for the wire types of the HTTP front-end.
 ///
-/// A mining body arrives in one of two wire schemas and always decodes
-/// into the one in-memory request, `v2::MineRequest` (api/api_v2.h):
-/// the v2 named-section schema decodes natively, and the flat v1 schema
-/// (no `api_version`, or 1) is translated field by field at decode time
-/// — it has no in-memory form of its own. Responses are always written
-/// in the v2 envelope. The request encoder writes every field (so a
-/// decoded request re-encodes to the identical document — the round-trip
-/// property the codec tests enforce) and the response encoder the full
-/// `v2::MineResponse` including `SurrogateProvenance`. Doubles survive
-/// bit-exactly (`%.17g` via WriteJson); 64-bit fingerprints are carried
-/// as hex strings because JSON numbers lose integer precision past 2^53.
-/// Decoders treat absent fields as "keep the struct default", reject
-/// wrongly-typed or non-finite values with InvalidArgument, and never
-/// crash on malformed documents.
+/// json_codec.cc declares each wire struct once, as an ordered list of
+/// `{wire name, member pointer}` fields, and one generic encoder and
+/// decoder walk those lists: adding a wire field means adding one list
+/// entry. A field's codec follows from its member type (scalars, arrays,
+/// enums through one name table each, nested structs through their own
+/// list) or is named in the entry (double-or-null, hex fingerprint,
+/// statistic columns). Encoders write every field, so a decoded request
+/// re-encodes to the identical document; doubles survive bit-exactly
+/// (`%.17g`), and 64-bit fingerprints travel as hex strings. Decoders
+/// keep the struct default for an absent key, answer a wrongly-typed one
+/// with InvalidArgument ("field 'key' must be ..."), and never crash on
+/// malformed documents.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -45,6 +44,11 @@ int HttpStatusFromStatus(const Status& status);
 /// Wire name of a status code ("ok", "invalid_argument", ...).
 std::string StatusCodeName(StatusCode code);
 
+/// The wire text of a 64-bit fingerprint: "0x" and 16 lower-case hex
+/// digits. Decoders accept an optional 0x/0X prefix and 1-16 hex digits,
+/// nothing else (no sign, whitespace or overflow).
+std::string FormatHexU64(uint64_t value);
+
 /// Encodes a Status as `{"code": ..., "message": ...}`.
 JsonValue StatusToJson(const Status& status);
 /// Decodes a Status encoded by StatusToJson into `*out`; the return
@@ -65,13 +69,12 @@ StatusOr<SurrogateProvenance> ProvenanceFromJson(const JsonValue& json);
 
 // ---------------------------------------------------------- mine bodies
 //
-// The v2 wire schema mirrors v2::MineRequest: an explicit `api_version`
-// plus the named sub-recipes `query`, `search`, `training`, `execution`.
-// MineRequestV2FromJson is the one decoder every mining body goes
-// through: documents with `api_version: 2` decode natively, documents
-// with no `api_version` (or 1) are read as the flat v1 schema straight
-// into a v2::MineRequest with `api_version = 1` — so v1 clients keep
-// working unchanged.
+// A mining body decodes into the one in-memory request, v2::MineRequest.
+// The v2 schema (`api_version: 2`) mirrors it: named sections `query`,
+// `search`, `training`, `execution`. The flat v1 schema (no
+// `api_version`, or 1) is read through a table of `v1 key → v2 field`
+// aliases over the same field lists, into `api_version = 1`. The v1
+// schema is frozen: fields added since (`deadline_seconds`) are v2-only.
 
 /// Encodes a v2 request in the v2 named-section schema.
 JsonValue MineRequestV2ToJson(const v2::MineRequest& request);

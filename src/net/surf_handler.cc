@@ -1,7 +1,6 @@
 #include "net/surf_handler.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "accel/accel.h"
 #include "api/api.h"
@@ -264,11 +263,10 @@ HttpResponse SurfHandler::HandleGetTrace(const HttpRequest&,
   const std::shared_ptr<const TraceContext> trace =
       service_->traces().Find(id);
   if (trace == nullptr) {
-    return JsonErrorResponse(
-        404, "not_found",
+    return StatusResponse(Status::NotFound(
         "no retained trace '" + id +
-            "' (traces come from requests with execution.trace "
-            "set, and only the most recent are kept)");
+        "' (traces come from requests with execution.trace "
+        "set, and only the most recent are kept)"));
   }
   return JsonResponse(200, TraceToChromeJson(*trace));
 }
@@ -278,65 +276,62 @@ HttpResponse SurfHandler::HandleRegisterDataset(const HttpRequest& request,
   auto json = ParseJson(request.body);
   if (!json.ok()) return StatusResponse(json.status());
   if (!json->is_object()) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "dataset registration must be a JSON object");
+    return StatusResponse(
+        Status::InvalidArgument("dataset registration must be a JSON object"));
   }
   const JsonValue* name = json->Find("name");
   if (name == nullptr || !name->is_string() ||
       name->string_value().empty()) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "field 'name' (non-empty string) is required");
+    return StatusResponse(
+        Status::InvalidArgument("field 'name' (non-empty string) is required"));
   }
   const JsonValue* path = json->Find("path");
   const JsonValue* rows = json->Find("rows");
   if ((path != nullptr) == (rows != nullptr)) {
-    return JsonErrorResponse(
-        400, "invalid_argument",
-        "provide exactly one of 'path' (CSV file) or 'rows' (inline data)");
+    return StatusResponse(Status::InvalidArgument(
+        "provide exactly one of 'path' (CSV file) or 'rows' (inline data)"));
   }
 
   Status registered = Status::OK();
   if (path != nullptr) {
     if (!path->is_string()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "field 'path' must be a string");
+      return StatusResponse(
+          Status::InvalidArgument("field 'path' must be a string"));
     }
     registered =
         service_->RegisterCsvDataset(name->string_value(), path->string_value());
   } else {
     const JsonValue* columns = json->Find("columns");
     if (columns == nullptr || !columns->is_array() || columns->size() == 0) {
-      return JsonErrorResponse(
-          400, "invalid_argument",
-          "inline registration needs 'columns' (array of names)");
+      return StatusResponse(Status::InvalidArgument(
+          "inline registration needs 'columns' (array of names)"));
     }
     std::vector<std::string> column_names;
     for (const JsonValue& c : columns->array()) {
       if (!c.is_string()) {
-        return JsonErrorResponse(400, "invalid_argument",
-                                 "'columns' entries must be strings");
+        return StatusResponse(
+            Status::InvalidArgument("'columns' entries must be strings"));
       }
       column_names.push_back(c.string_value());
     }
     if (!rows->is_array()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "field 'rows' must be an array of rows");
+      return StatusResponse(
+          Status::InvalidArgument("field 'rows' must be an array of rows"));
     }
     Dataset data(column_names);
     data.Reserve(rows->size());
     std::vector<double> row(column_names.size());
     for (const JsonValue& r : rows->array()) {
       if (!r.is_array() || r.size() != column_names.size()) {
-        return JsonErrorResponse(
-            400, "invalid_argument",
+        return StatusResponse(Status::InvalidArgument(
             "every row must be an array of " +
-                std::to_string(column_names.size()) + " numbers");
+            std::to_string(column_names.size()) + " numbers"));
       }
       for (size_t j = 0; j < row.size(); ++j) {
         const JsonValue& cell = r.array()[j];
         if (!cell.is_number()) {
-          return JsonErrorResponse(400, "invalid_argument",
-                                   "row cells must be numbers");
+          return StatusResponse(
+              Status::InvalidArgument("row cells must be numbers"));
         }
         row[j] = cell.number_value();
       }
@@ -403,8 +398,7 @@ HttpResponse SurfHandler::HandleMine(const HttpRequest& request,
     // Publish *something* before rethrowing so followers never hang.
     {
       std::lock_guard<std::mutex> lock(flight->mu);
-      flight->response =
-          JsonErrorResponse(500, "internal", "handler threw");
+      flight->response = StatusResponse(Status::Internal("handler threw"));
       flight->done = true;
     }
     flight->cv.notify_all();
@@ -477,13 +471,13 @@ HttpResponse SurfHandler::HandleMineBatch(const HttpRequest& request,
   auto json = ParseJson(request.body);
   if (!json.ok()) return StatusResponse(json.status());
   if (!json->is_object()) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "batch body must be a JSON object");
+    return StatusResponse(
+        Status::InvalidArgument("batch body must be a JSON object"));
   }
   const JsonValue* list = json->Find("requests");
   if (list == nullptr || !list->is_array() || list->size() == 0) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "field 'requests' (non-empty array) is required");
+    return StatusResponse(Status::InvalidArgument(
+        "field 'requests' (non-empty array) is required"));
   }
   const ColumnResolver resolver = MakeResolver();
   std::vector<v2::MineRequest> requests;
@@ -492,10 +486,9 @@ HttpResponse SurfHandler::HandleMineBatch(const HttpRequest& request,
     // Batch entries accept either schema version, like /v1/mine.
     auto decoded = MineRequestV2FromJson(list->array()[i], &resolver);
     if (!decoded.ok()) {
-      return JsonErrorResponse(
-          400, "invalid_argument",
+      return StatusResponse(Status::InvalidArgument(
           "requests[" + std::to_string(i) +
-              "]: " + decoded.status().message());
+          "]: " + decoded.status().message()));
     }
     requests.push_back(std::move(decoded).value());
   }
@@ -521,14 +514,13 @@ HttpResponse SurfHandler::HandleEvaluations(const HttpRequest& request,
   auto json = ParseJson(request.body);
   if (!json.ok()) return StatusResponse(json.status());
   if (!json->is_object()) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "evaluations body must be a JSON object");
+    return StatusResponse(
+        Status::InvalidArgument("evaluations body must be a JSON object"));
   }
   const JsonValue* keyed = json->Find("request");
   if (keyed == nullptr) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "field 'request' (cache-keying MineRequest) is "
-                             "required");
+    return StatusResponse(Status::InvalidArgument(
+        "field 'request' (cache-keying MineRequest) is required"));
   }
   const ColumnResolver resolver = MakeResolver();
   auto decoded = MineRequestV2FromJson(*keyed, &resolver);
@@ -537,10 +529,9 @@ HttpResponse SurfHandler::HandleEvaluations(const HttpRequest& request,
   const JsonValue* evaluations = json->Find("evaluations");
   if (evaluations == nullptr || !evaluations->is_array() ||
       evaluations->size() == 0) {
-    return JsonErrorResponse(
-        400, "invalid_argument",
+    return StatusResponse(Status::InvalidArgument(
         "field 'evaluations' (non-empty array of {region, value}) is "
-        "required");
+        "required"));
   }
 
   const size_t dims = decoded->query.statistic.region_cols.size();
@@ -551,26 +542,23 @@ HttpResponse SurfHandler::HandleEvaluations(const HttpRequest& request,
     const JsonValue& entry = evaluations->array()[i];
     const std::string at = "evaluations[" + std::to_string(i) + "]";
     if (!entry.is_object()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               at + " must be an object");
+      return StatusResponse(Status::InvalidArgument(at + " must be an object"));
     }
     const JsonValue* region_json = entry.Find("region");
     const JsonValue* value = entry.Find("value");
     if (region_json == nullptr || value == nullptr || !value->is_number()) {
-      return JsonErrorResponse(
-          400, "invalid_argument",
-          at + " needs 'region' and a numeric 'value'");
+      return StatusResponse(Status::InvalidArgument(
+          at + " needs 'region' and a numeric 'value'"));
     }
     auto region = RegionFromJson(*region_json);
     if (!region.ok()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               at + ": " + region.status().message());
+      return StatusResponse(
+          Status::InvalidArgument(at + ": " + region.status().message()));
     }
     if (region->dims() != dims) {
-      return JsonErrorResponse(
-          400, "invalid_argument",
+      return StatusResponse(Status::InvalidArgument(
           at + ": region has " + std::to_string(region->dims()) +
-              " dims but the statistic spans " + std::to_string(dims));
+          " dims but the statistic spans " + std::to_string(dims)));
     }
     fresh.features.AddRow(RegionFeatures(*region));
     fresh.targets.push_back(value->number_value());
@@ -602,9 +590,8 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
 
   const Dataset* data = service_->dataset(decoded->dataset);
   if (data == nullptr) {
-    return JsonErrorResponse(
-        404, "not_found",
-        "dataset '" + decoded->dataset + "' not registered on this worker");
+    return StatusResponse(Status::NotFound(
+        "dataset '" + decoded->dataset + "' not registered on this worker"));
   }
   // The coordinator's fingerprint pins the exact data the partials must
   // come from: a worker holding anything else must refuse, not answer
@@ -612,66 +599,56 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
   if (decoded->has_fingerprint &&
       service_->dataset_fingerprint(decoded->dataset) !=
           decoded->fingerprint) {
-    return JsonErrorResponse(
-        412, "failed_precondition",
+    return StatusResponse(Status::FailedPrecondition(
         "dataset '" + decoded->dataset +
-            "' fingerprint mismatch: this worker holds different data "
-            "than the coordinator expects");
+        "' fingerprint mismatch: this worker holds different data "
+        "than the coordinator expects"));
   }
   if (decoded->num_shards > ShardingOptions::kMaxShards) {
-    return JsonErrorResponse(
-        400, "invalid_argument",
+    return StatusResponse(Status::InvalidArgument(
         "num_shards must be <= " +
-            std::to_string(ShardingOptions::kMaxShards));
+        std::to_string(ShardingOptions::kMaxShards)));
   }
   // order_by -1 keeps natural row order; anything else must name a
   // column.
   if (decoded->order_by < -1 ||
       (decoded->order_by >= 0 &&
        static_cast<size_t>(decoded->order_by) >= data->num_cols())) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "order_by column out of range");
+    return StatusResponse(
+        Status::InvalidArgument("order_by column out of range"));
   }
   for (size_t c : decoded->columns) {
     if (c >= data->num_cols()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "partition column out of range");
+      return StatusResponse(
+          Status::InvalidArgument("partition column out of range"));
     }
   }
   for (size_t c : decoded->statistic.region_cols) {
     if (c >= data->num_cols()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "region column out of range");
+      return StatusResponse(
+          Status::InvalidArgument("region column out of range"));
     }
   }
   if (decoded->statistic.needs_value_column() &&
       (decoded->statistic.value_col < 0 ||
        static_cast<size_t>(decoded->statistic.value_col) >=
            data->num_cols())) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "value column out of range");
+    return StatusResponse(Status::InvalidArgument("value column out of range"));
   }
   const size_t dims = decoded->statistic.region_cols.size();
   for (const Region& q : decoded->queries) {
     if (q.dims() != dims) {
-      return JsonErrorResponse(
-          400, "invalid_argument",
-          "query region dims do not match statistic.region_cols");
+      return StatusResponse(Status::InvalidArgument(
+          "query region dims do not match statistic.region_cols"));
     }
   }
 
   // One partition per (dataset, statistic, partition spec) — repeated
   // scatter batches of a workload reuse it instead of re-sharding.
-  std::string key = decoded->dataset + "|";
-  {
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(
-                      FingerprintStatistic(decoded->statistic)));
-    key += hex;
-  }
-  key += "|" + std::to_string(decoded->num_shards) + "|" +
-         std::to_string(decoded->order_by) + "|";
+  std::string key = decoded->dataset + "|" +
+                    FormatHexU64(FingerprintStatistic(decoded->statistic)) +
+                    "|" + std::to_string(decoded->num_shards) + "|" +
+                    std::to_string(decoded->order_by) + "|";
   for (size_t c : decoded->columns) key += std::to_string(c) + ",";
   std::shared_ptr<const ShardedScanEvaluator> evaluator;
   {
@@ -695,11 +672,10 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
   // Partition may clamp the shard count (tiny datasets); assignments
   // beyond what actually exists are a spec mismatch, not retriable.
   if (decoded->shards.back() >= evaluator->num_shards()) {
-    return JsonErrorResponse(
-        400, "invalid_argument",
+    return StatusResponse(Status::InvalidArgument(
         "shard index " + std::to_string(decoded->shards.back()) +
-            " out of range: partition has " +
-            std::to_string(evaluator->num_shards()) + " shards");
+        " out of range: partition has " +
+        std::to_string(evaluator->num_shards()) + " shards"));
   }
 
   // Deadline: the tighter of the transport budget and the wire field,
@@ -720,8 +696,8 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
     partials.partials[q].reserve(decoded->shards.size());
     for (size_t s : decoded->shards) {
       if (cancel.cancelled()) {
-        return JsonErrorResponse(408, "timed_out",
-                                 "shard evaluation deadline exceeded");
+        return StatusResponse(
+            Status::TimedOut("shard evaluation deadline exceeded"));
       }
       StatisticAccumulator acc(decoded->statistic);
       evaluator->EvalShardPartial(s, decoded->queries[q], &acc);
@@ -771,7 +747,7 @@ HttpResponse SurfHandler::HandleGetJob(const HttpRequest&,
                                        const std::string& id) {
   auto job = jobs_.Find(id);
   if (job == nullptr) {
-    return JsonErrorResponse(404, "not_found", "no job '" + id + "'");
+    return StatusResponse(Status::NotFound("no job '" + id + "'"));
   }
   JsonValue body = JsonValue::Object();
   body.Set("job_id", JsonValue(id));
@@ -812,28 +788,27 @@ HttpResponse SurfHandler::HandleArmFailpoints(const HttpRequest& request,
   auto json = ParseJson(request.body);
   if (!json.ok()) return StatusResponse(json.status());
   if (!json->is_object()) {
-    return JsonErrorResponse(400, "invalid_argument",
-                             "failpoint body must be a JSON object");
+    return StatusResponse(
+        Status::InvalidArgument("failpoint body must be a JSON object"));
   }
   const JsonValue* spec = json->Find("spec");
   const JsonValue* seed = json->Find("seed");
   if (spec == nullptr && seed == nullptr) {
-    return JsonErrorResponse(
-        400, "invalid_argument",
-        "provide 'spec' (\"site=action,...\") and/or 'seed' (integer)");
+    return StatusResponse(Status::InvalidArgument(
+        "provide 'spec' (\"site=action,...\") and/or 'seed' (integer)"));
   }
   FailpointRegistry& registry = FailpointRegistry::Global();
   if (seed != nullptr) {
     if (!seed->is_number() || seed->number_value() < 0) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "field 'seed' must be a non-negative number");
+      return StatusResponse(Status::InvalidArgument(
+          "field 'seed' must be a non-negative number"));
     }
     registry.SetSeed(static_cast<uint64_t>(seed->number_value()));
   }
   if (spec != nullptr) {
     if (!spec->is_string()) {
-      return JsonErrorResponse(400, "invalid_argument",
-                               "field 'spec' must be a string");
+      return StatusResponse(
+          Status::InvalidArgument("field 'spec' must be a string"));
     }
     const Status configured = registry.Configure(spec->string_value());
     if (!configured.ok()) return StatusResponse(configured);
@@ -854,8 +829,8 @@ HttpResponse SurfHandler::HandleClearOneFailpoint(const HttpRequest&,
                                                   const std::string& site) {
   const bool was_armed = FailpointRegistry::Global().Clear(site);
   if (!was_armed) {
-    return JsonErrorResponse(404, "not_found",
-                             "failpoint '" + site + "' is not armed");
+    return StatusResponse(
+        Status::NotFound("failpoint '" + site + "' is not armed"));
   }
   JsonValue body = JsonValue::Object();
   body.Set("site", JsonValue(site));
@@ -867,7 +842,7 @@ HttpResponse SurfHandler::HandleCancelJob(const HttpRequest&,
                                           const std::string& id) {
   auto job = jobs_.Find(id);
   if (job == nullptr) {
-    return JsonErrorResponse(404, "not_found", "no job '" + id + "'");
+    return StatusResponse(Status::NotFound("no job '" + id + "'"));
   }
   const bool was_done = job->done();
   job->Cancel();  // harmless no-op when already terminal

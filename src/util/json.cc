@@ -8,7 +8,7 @@
 
 namespace surf {
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+const JsonValue* JsonValue::Find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   // Backwards so duplicate keys (possible via AppendMember) resolve
   // last-wins.

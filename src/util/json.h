@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,7 +93,7 @@ class JsonValue {
   /// Pointer to the member named `key`, or null when absent (or when this
   /// value is not an object). With duplicate keys the *last* one wins
   /// (RFC 8259 leaves this open; last-wins matches the common parsers).
-  const JsonValue* Find(const std::string& key) const;
+  const JsonValue* Find(std::string_view key) const;
 
   /// Sets (or overwrites) the member named `key`. Linear in the member
   /// count — use AppendMember when keys are known to be fresh.

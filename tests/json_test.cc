@@ -10,8 +10,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -347,43 +351,45 @@ TEST(MineRequestCodec, MinimalRequestUsesDefaults) {
   }
 }
 
+/// One invalid mining body per error class, in both wire schemas.
+constexpr const char* kBadMineRequests[] = {
+    R"([1, 2])",                                        // not an object
+    R"({"statistic": {"region_cols": [0]}})",           // missing dataset
+    R"({"dataset": "d"})",                              // no region cols
+    R"({"dataset": "d", "statistic": {"region_cols": [0],
+        "kind": "p99"}})",                              // unknown kind
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "direction": "sideways"})",                     // bad enum
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "threshold": "high"})",                         // wrong type
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "workload": {"num_queries": -4}})",             // negative size
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "workload": {"seed": 1.5}})",                   // fractional seed
+    R"({"dataset": "d", "statistic": {"region_cols": ["x"]}})",
+    // ^ name resolution without a resolver
+    R"({"dataset": "d", "statistic": {"region_cols": [0, 1e300]}})",
+    // ^ index too large to cast (would be UB unchecked)
+    R"({"dataset": "d", "statistic": {"region_cols": [0],
+        "value_col": 1e18}})",                        // beyond int range
+    R"({"dataset": "d", "statistic": {"region_cols": [0],
+        "value_col": -2}})",                          // only -1 is legal
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "surrogate": {"grid": {"max_depths": [1e300]}}})",
+    // The same classes of error in the v2 named-section schema.
+    R"({"api_version": 2, "statistic": {"region_cols": [0]}})",
+    R"({"api_version": 2, "dataset": "d"})",
+    R"({"api_version": 2, "dataset": "d", "query": [1]})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}, "kind": "bottomk"}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": {"shards": 1e9}})",
+    R"({"api_version": 3, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}})",
+};
+
 TEST(MineRequestCodec, RejectsBadDocuments) {
-  const char* cases[] = {
-      R"([1, 2])",                                        // not an object
-      R"({"statistic": {"region_cols": [0]}})",           // missing dataset
-      R"({"dataset": "d"})",                              // no region cols
-      R"({"dataset": "d", "statistic": {"region_cols": [0],
-          "kind": "p99"}})",                              // unknown kind
-      R"({"dataset": "d", "statistic": {"region_cols": [0]},
-          "direction": "sideways"})",                     // bad enum
-      R"({"dataset": "d", "statistic": {"region_cols": [0]},
-          "threshold": "high"})",                         // wrong type
-      R"({"dataset": "d", "statistic": {"region_cols": [0]},
-          "workload": {"num_queries": -4}})",             // negative size
-      R"({"dataset": "d", "statistic": {"region_cols": [0]},
-          "workload": {"seed": 1.5}})",                   // fractional seed
-      R"({"dataset": "d", "statistic": {"region_cols": ["x"]}})",
-      // ^ name resolution without a resolver
-      R"({"dataset": "d", "statistic": {"region_cols": [0, 1e300]}})",
-      // ^ index too large to cast (would be UB unchecked)
-      R"({"dataset": "d", "statistic": {"region_cols": [0],
-          "value_col": 1e18}})",                        // beyond int range
-      R"({"dataset": "d", "statistic": {"region_cols": [0],
-          "value_col": -2}})",                          // only -1 is legal
-      R"({"dataset": "d", "statistic": {"region_cols": [0]},
-          "surrogate": {"grid": {"max_depths": [1e300]}}})",
-      // The same classes of error in the v2 named-section schema.
-      R"({"api_version": 2, "statistic": {"region_cols": [0]}})",
-      R"({"api_version": 2, "dataset": "d"})",
-      R"({"api_version": 2, "dataset": "d", "query": [1]})",
-      R"({"api_version": 2, "dataset": "d", "query": {"statistic":
-          {"region_cols": [0]}, "kind": "bottomk"}})",
-      R"({"api_version": 2, "dataset": "d", "query": {"statistic":
-          {"region_cols": [0]}}, "execution": {"shards": 1e9}})",
-      R"({"api_version": 3, "dataset": "d", "query": {"statistic":
-          {"region_cols": [0]}}})",
-  };
-  for (const char* text : cases) {
+  for (const char* text : kBadMineRequests) {
     auto json = ParseJson(text);
     ASSERT_TRUE(json.ok()) << text;
     auto decoded = MineRequestV2FromJson(*json);
@@ -753,30 +759,36 @@ TEST(ShardEvaluateCodec, RequestRoundTripIsLossless) {
   EXPECT_FALSE(bare_back->has_fingerprint);
 }
 
-TEST(ShardEvaluateCodec, RequestRejectsBadDocuments) {
-  const std::string valid =
-      WriteJson(ShardEvaluateRequestToJson(SampleShardRequest()));
-  // Mutate one field at a time off a valid document.
-  auto mutate = [&](const std::string& key, const std::string& value) {
-    auto json = ParseJson(valid);
-    EXPECT_TRUE(json.ok());
-    json->Set(key, *ParseJson(value));
-    return WriteJson(*json);
-  };
-  const std::string cases[] = {
-      mutate("dataset", "17"),            // wrong type
-      mutate("num_shards", "0"),          // must be >= 1
-      mutate("shards", "[]"),             // empty assignment
-      mutate("shards", "[3, 2, 5]"),      // not ascending
-      mutate("shards", "[2, 2, 5]"),      // duplicate (not strict)
-      mutate("shards", "[2, 3, 8]"),      // index >= num_shards
-      mutate("order_by", "1.5"),          // fractional
-      mutate("deadline_seconds", "-1"),   // negative
-      mutate("fingerprint", "\"xyz\""),   // unparseable hex
+/// SampleShardRequest's document with `key` set to the JSON `value`.
+std::string MutatedShardRequest(const std::string& key,
+                                const std::string& value) {
+  auto json = ParseJson(WriteJson(ShardEvaluateRequestToJson(
+      SampleShardRequest())));
+  EXPECT_TRUE(json.ok());
+  json->Set(key, *ParseJson(value));
+  return WriteJson(*json);
+}
+
+/// Invalid shard-evaluate bodies, mutated one field at a time off a valid
+/// document.
+std::vector<std::string> BadShardRequests() {
+  return {
+      MutatedShardRequest("dataset", "17"),           // wrong type
+      MutatedShardRequest("num_shards", "0"),         // must be >= 1
+      MutatedShardRequest("shards", "[]"),            // empty assignment
+      MutatedShardRequest("shards", "[3, 2, 5]"),     // not ascending
+      MutatedShardRequest("shards", "[2, 2, 5]"),     // duplicate
+      MutatedShardRequest("shards", "[2, 3, 8]"),     // index >= num_shards
+      MutatedShardRequest("order_by", "1.5"),         // fractional
+      MutatedShardRequest("deadline_seconds", "-1"),  // negative
+      MutatedShardRequest("fingerprint", "\"xyz\""),  // unparseable hex
       R"({"statistic": {"region_cols": [0]}, "num_shards": 1,
           "shards": [0], "queries": []})",  // missing dataset
   };
-  for (const std::string& text : cases) {
+}
+
+TEST(ShardEvaluateCodec, RequestRejectsBadDocuments) {
+  for (const std::string& text : BadShardRequests()) {
     auto json = ParseJson(text);
     ASSERT_TRUE(json.ok()) << text;
     auto decoded = ShardEvaluateRequestFromJson(*json);
@@ -821,11 +833,14 @@ TEST(ShardEvaluateCodec, ResponsePartialsSurviveBitExactly) {
   }
 }
 
+/// Invalid shard-evaluate responses (decoded as a count statistic).
+constexpr const char* kBadShardResponses[] = {
+    R"({"partials": 3})", R"({"partials": [7]})",
+    R"({"partials": [[{"count": -2}]]})", R"([1, 2])"};
+
 TEST(ShardEvaluateCodec, ResponseRejectsBadDocuments) {
   const Statistic stat = Statistic::Count({0});
-  for (const char* text :
-       {R"({"partials": 3})", R"({"partials": [7]})",
-        R"({"partials": [[{"count": -2}]]})", R"([1, 2])"}) {
+  for (const char* text : kBadShardResponses) {
     auto json = ParseJson(text);
     ASSERT_TRUE(json.ok()) << text;
     auto decoded = ShardEvaluateResponseFromJson(*json, stat);
@@ -857,6 +872,27 @@ TEST(MineRequestCodec, ClusterFlagRoundTripsInBothSchemas) {
   EXPECT_TRUE(v2_back->execution.cluster);
 }
 
+/// The structured-fuzz loop: random byte edits of one valid document;
+/// whenever the JSON itself parses, `decode` must return a clean status
+/// (either outcome), never crash.
+template <typename Decode>
+void FuzzDecoder(const std::string& valid, Rng& rng, Decode decode) {
+  for (int i = 0; i < 2000; ++i) {
+    std::string input = valid;
+    const size_t edits = 1 + rng.UniformInt(8);
+    for (size_t e = 0; e < edits; ++e) {
+      input[rng.UniformInt(input.size())] =
+          static_cast<char>(rng.UniformInt(128));
+    }
+    auto json = ParseJson(input);
+    if (!json.ok()) continue;
+    auto decoded = decode(*json);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(MineRequestCodec, FuzzedDocumentsNeverCrash) {
   // Structured fuzz: parse random mutations of one valid document of each
   // schema; whenever the JSON itself parses, the decoder must return a
@@ -868,21 +904,459 @@ TEST(MineRequestCodec, FuzzedDocumentsNeverCrash) {
   Rng rng(99);
   for (const std::string& valid : seeds) {
     ASSERT_TRUE(MineRequestV2FromJson(*ParseJson(valid)).ok()) << valid;
-    for (int i = 0; i < 2000; ++i) {
-      std::string input = valid;
-      const size_t edits = 1 + rng.UniformInt(8);
-      for (size_t e = 0; e < edits; ++e) {
-        input[rng.UniformInt(input.size())] =
-            static_cast<char>(rng.UniformInt(128));
-      }
-      auto json = ParseJson(input);
-      if (!json.ok()) continue;
-      auto decoded = MineRequestV2FromJson(*json);
-      if (!decoded.ok()) {
-        EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-      }
+    FuzzDecoder(valid, rng, [](const JsonValue& json) {
+      return MineRequestV2FromJson(json);
+    });
+  }
+}
+
+// ---------------------------------------------- golden codec corpus
+//
+// json_codec_golden.txt pins what the codec does on the wire: the exact
+// bytes it writes and the exact text of every rejection. Each line is
+// `name<TAB>text`, in GoldenCorpus() order. The file was written by the
+// hand-written codec that preceded the field lists; it is not
+// regenerated to make a change pass, since a difference is a wire change.
+
+/// A threshold response exercising every field: degraded provenance,
+/// NaN cv_rmse (the default) and NaN true_value, which travel as null.
+v2::MineResponse SampleThresholdResponse() {
+  Rng rng(31);
+  v2::MineResponse response;
+  response.cache_hit = true;
+  response.total_seconds = 0.125;
+  SurrogateProvenance& provenance = response.provenance;
+  provenance.dataset_fingerprint = rng.Next();
+  provenance.training_set_size = 9000;
+  provenance.holdout_rmse = rng.Uniform(0, 10);
+  provenance.train_seconds = rng.Uniform(0, 3);
+  provenance.warm_starts = 2;
+  provenance.pending_examples = 17;
+  provenance.degraded = true;
+  provenance.degraded_reason = "stale-while-revalidate: retrain in flight";
+  for (int i = 0; i < 4; ++i) {
+    FoundRegion r;
+    r.region = Region({rng.Uniform(-100, 100), rng.Uniform(-100, 100)},
+                      {rng.Uniform(0, 10), rng.Uniform(0, 10)});
+    r.fitness = rng.Gaussian();
+    r.estimate = rng.Gaussian(100, 30);
+    r.true_value = i % 2 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                              : rng.Gaussian(100, 30);
+    r.complies_true = i % 3 == 0;
+    response.result.regions.push_back(r);
+  }
+  FindReport& report = response.result.report;
+  report.seconds = rng.Uniform(0, 1);
+  report.iterations = 120;
+  report.objective_evaluations = 12000;
+  report.particle_valid_fraction = rng.Uniform();
+  report.converged = true;
+  report.true_compliance = 0.75;
+  return response;
+}
+
+/// A top-k response with a finite cv_rmse and no degradation.
+v2::MineResponse SampleTopKResponse() {
+  Rng rng(32);
+  v2::MineResponse response;
+  response.total_seconds = rng.Uniform(0, 2);
+  response.provenance.dataset_fingerprint = rng.Next();
+  response.provenance.training_set_size = 500;
+  response.provenance.cv_rmse = rng.Uniform(0, 5);
+  response.provenance.holdout_rmse = rng.Uniform(0, 5);
+  for (int i = 0; i < 3; ++i) {
+    ScoredRegion r;
+    r.region = Region({rng.Uniform(-1, 1)}, {rng.Uniform(0, 1)});
+    r.fitness = rng.Gaussian();
+    r.statistic = rng.Gaussian(10, 3);
+    response.topk.regions.push_back(r);
+  }
+  response.topk.iterations = 77;
+  response.topk.objective_evaluations = 4321;
+  response.topk.cancelled = true;
+  return response;
+}
+
+/// One wrong type per field codec (and a few semantic errors), on top of
+/// kBadMineRequests; some list several faults to pin which one is named.
+constexpr const char* kMoreMineRequests[] = {
+    // bool, number, integer, string
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": {"cluster": "yes"}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "search": {"finder": {"c": "x"}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}, "threshold": null}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"workload":
+        {"num_queries": "many"}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "search": {"topk": {"gso": {"seed": -1}}}})",
+    R"({"api_version": 2, "dataset": 17, "query": {"statistic":
+        {"region_cols": [0]}}})",
+    R"({"api_version": "2", "dataset": "d"})",
+    // arrays
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"surrogate": {"grid":
+        {"learning_rates": 3}}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"surrogate": {"grid":
+        {"reg_lambdas": [1, "x"]}}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"surrogate": {"grid":
+        {"n_estimators": "x"}}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"surrogate": {"grid":
+        {"max_depths": [-1]}}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": 3}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0, true]}}})",
+    // objects
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic": 1}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "search": [1]})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "search": {"finder": {"gso": "x"}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "search": {"topk": 5}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": [1]})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "training": {"surrogate": {"gbrt": []}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": 5})",
+    // enum names, and enums of the wrong type
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": {"backend": "kd_tree"}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": {"backend": 7}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}, "direction": true}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0], "kind": 4}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0], "kind": "label_ratio", "value_col": 1}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0], "value_col": true}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0], "value_col": "fare"}}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}}, "execution": {"deadline_seconds": -1}})",
+    // the flat v1 schema
+    R"({"dataset": "d", "statistic": {"region_cols": [0]}, "mode": "bogus"})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]}, "mode": 2})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "backend": "rtree"})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]}, "finder": 3})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]}, "trace": "no"})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]}, "shards": "2"})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "topk": {"gso": []}})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "surrogate": {"hypertune": 1}})",
+    // v1 has no deadline: the key is ignored whatever its type.
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "deadline_seconds": "x"})",
+    R"({"dataset": "d", "statistic": {"region_cols": [0]},
+        "deadline_seconds": 5, "query": 1, "execution": 2})",
+    // several faults: which one is reported
+    R"({"statistic": {"region_cols": [0]}, "direction": "sideways"})",
+    R"({"dataset": "d", "direction": "sideways"})",
+    R"({"dataset": "d", "statistic": {"region_cols": []},
+        "threshold": "x", "mode": "topk", "topk": {"k": 0}})",
+    R"({"api_version": 2, "query": {"kind": "bottomk"}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"kind": "bottomk"}})",
+    R"({"api_version": 2, "dataset": "d", "query": {"statistic":
+        {"region_cols": [0]}, "threshold": "x", "kind": "bottomk"}})",
+};
+
+/// Response documents, valid and not; accepted ones are re-encoded.
+constexpr const char* kMineResponseDocuments[] = {
+    R"([1])",
+    R"({"api_version": 3})",
+    R"({"api_version": "2"})",
+    R"({"status": {"code": "bogus"}})",
+    R"({"status": {"code": 5}})",
+    R"({"status": {"code": "not_found", "message": 1}})",
+    R"({"status": []})",
+    R"({"cache_hit": "x"})",
+    R"({"total_seconds": "x"})",
+    R"({"provenance": 3})",
+    R"({"provenance": {"cv_rmse": "x"}})",
+    R"({"provenance": {"cv_rmse": null, "holdout_rmse": null}})",
+    R"({"provenance": {"dataset_fingerprint": 12}})",
+    R"({"provenance": {"dataset_fingerprint": "xyz"}})",
+    R"({"provenance": {"training_set_size": -1}})",
+    R"({"provenance": {"degraded": "yes"}})",
+    R"({"provenance": {"degraded_reason": "r"}})",
+    R"({"provenance": {"degraded": false, "degraded_reason": "r"}})",
+    R"({"result": []})",
+    R"({"result": {"regions": {}}})",
+    R"({"result": {"regions": [3]}})",
+    R"({"result": {"regions": [{"fitness": 1}]}})",
+    R"({"result": {"regions": [{"region": 4}]}})",
+    R"({"result": {"regions": [{"region": {"center": "x"}}]}})",
+    R"({"result": {"regions": [{"region": {"center": [0],
+        "half_lengths": [1, 2]}}]}})",
+    R"({"result": {"regions": [{"region": {"center": [0],
+        "half_lengths": [1]}, "true_value": "x"}]}})",
+    R"({"result": {"regions": [{"region": {"center": [0],
+        "half_lengths": [1]}, "true_value": null, "lo": 5}]}})",
+    R"({"result": {"report": {"converged": "no"}}})",
+    R"({"result": {"report": {"objective_evaluations": 1.5}}})",
+    R"({"topk": 1})",
+    R"({"topk": {"regions": [{}]}})",
+    R"({"topk": {"regions": [{"region": {"center": [0],
+        "half_lengths": [1]}, "statistic": "x"}]}})",
+    R"({"topk": {"iterations": -3}})",
+    R"({"mode": 7, "cache_hit": true, "status": {"code": "timed_out",
+        "message": "late"}})",
+};
+
+/// More shard-evaluate bodies, valid and not, on top of BadShardRequests.
+std::vector<std::string> MoreShardRequests() {
+  return {
+      MutatedShardRequest("fingerprint", "12"),
+      MutatedShardRequest("fingerprint", "\"0X1F\""),
+      MutatedShardRequest("fingerprint", "\"1f\""),
+      MutatedShardRequest("statistic", "[]"),
+      MutatedShardRequest("statistic", R"({"region_cols": []})"),
+      MutatedShardRequest("num_shards", "\"8\""),
+      MutatedShardRequest("order_by", "\"x\""),
+      MutatedShardRequest("order_by", "-2"),
+      MutatedShardRequest("order_by", "-1"),
+      MutatedShardRequest("columns", "[-1]"),
+      MutatedShardRequest("columns", "{}"),
+      MutatedShardRequest("shards", "\"2\""),
+      MutatedShardRequest("queries", "3"),
+      MutatedShardRequest("queries", "[3]"),
+      MutatedShardRequest("queries", R"([{"center": [0]}])"),
+      MutatedShardRequest("deadline_seconds", "\"x\""),
+      R"({"dataset": "d", "statistic": {"region_cols": []},
+          "num_shards": 0, "shards": [], "order_by": "x"})",
+      R"({"dataset": "d", "statistic": {"region_cols": [0]},
+          "num_shards": 0, "order_by": "x"})",
+      R"({"dataset": "d", "statistic": {"region_cols": [0]},
+          "shards": [], "queries": 3})",
+  };
+}
+
+/// The text a decode produced: the re-encoded document when it succeeded,
+/// the status otherwise.
+template <typename T, typename Encode>
+std::string Outcome(const StatusOr<T>& decoded, Encode encode) {
+  if (!decoded.ok()) return decoded.status().ToString();
+  return WriteJson(encode(*decoded));
+}
+
+std::vector<std::pair<std::string, std::string>> GoldenCorpus() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  auto add = [&](const std::string& name, std::string text) {
+    corpus.emplace_back(name, std::move(text));
+  };
+  auto request = [](const JsonValue& json) {
+    return Outcome(MineRequestV2FromJson(json), MineRequestV2ToJson);
+  };
+  auto response = [](const JsonValue& json) {
+    return Outcome(MineResponseFromJson(json), [](const v2::MineResponse& r) {
+      return MineResponseV2ToJson(r, r.topk.regions.empty()
+                                         ? v2::QueryKind::kThreshold
+                                         : v2::QueryKind::kTopK);
+    });
+  };
+  auto shard_request = [](const JsonValue& json) {
+    return Outcome(ShardEvaluateRequestFromJson(json),
+                   ShardEvaluateRequestToJson);
+  };
+
+  add("request.v1_full", request(*ParseJson(kFullV1Document)));
+  add("request.v1_minimal", request(*ParseJson(
+      R"({"dataset": "d", "statistic": {"region_cols": [0, 1]}})")));
+  add("request.v2_minimal", request(*ParseJson(
+      R"({"api_version": 2, "dataset": "d",
+          "query": {"statistic": {"region_cols": [0, 1]}}})")));
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    add("request.seed_" + std::to_string(seed),
+        WriteJson(MineRequestV2ToJson(RandomizedRequest(seed))));
+  }
+  for (size_t i = 0; i < std::size(kBadMineRequests); ++i) {
+    add("request.bad_" + std::to_string(i),
+        request(*ParseJson(kBadMineRequests[i])));
+  }
+  for (size_t i = 0; i < std::size(kMoreMineRequests); ++i) {
+    add("request.more_" + std::to_string(i),
+        request(*ParseJson(kMoreMineRequests[i])));
+  }
+
+  v2::MineResponse failed;
+  failed.status = Status::NotFound("dataset 'x' not registered");
+  const std::pair<const char*, JsonValue> responses[] = {
+      {"threshold", MineResponseV2ToJson(SampleThresholdResponse(),
+                                         v2::QueryKind::kThreshold)},
+      {"topk",
+       MineResponseV2ToJson(SampleTopKResponse(), v2::QueryKind::kTopK)},
+      {"failed", MineResponseV2ToJson(failed, v2::QueryKind::kThreshold)},
+  };
+  for (const auto& [name, json] : responses) {
+    add(std::string("response.") + name, WriteJson(json));
+    add(std::string("response.") + name + ".redecoded", response(json));
+  }
+  for (size_t i = 0; i < std::size(kMineResponseDocuments); ++i) {
+    add("response.doc_" + std::to_string(i),
+        response(*ParseJson(kMineResponseDocuments[i])));
+  }
+
+  dist::ShardEvaluateRequest bare = SampleShardRequest();
+  bare.has_fingerprint = false;
+  add("shard_request.sample",
+      WriteJson(ShardEvaluateRequestToJson(SampleShardRequest())));
+  add("shard_request.bare", WriteJson(ShardEvaluateRequestToJson(bare)));
+  add("shard_request.sample.redecoded",
+      shard_request(ShardEvaluateRequestToJson(SampleShardRequest())));
+  const std::vector<std::string> bad_shard = BadShardRequests();
+  for (size_t i = 0; i < bad_shard.size(); ++i) {
+    add("shard_request.bad_" + std::to_string(i),
+        shard_request(*ParseJson(bad_shard[i])));
+  }
+  const std::vector<std::string> more_shard = MoreShardRequests();
+  for (size_t i = 0; i < more_shard.size(); ++i) {
+    add("shard_request.more_" + std::to_string(i),
+        shard_request(*ParseJson(more_shard[i])));
+  }
+
+  const Statistic median = Statistic::MedianOf({0}, 1);
+  Rng rng(33);
+  dist::ShardEvaluateResponse partials;
+  for (int q = 0; q < 2; ++q) {
+    partials.partials.emplace_back();
+    for (int s = 0; s < 2; ++s) {
+      StatisticAccumulator acc(median);
+      for (int i = 0; i < 5; ++i) acc.Add(rng.Gaussian());
+      partials.partials.back().push_back(std::move(acc));
     }
   }
+  add("shard_response.sample",
+      WriteJson(ShardEvaluateResponseToJson(partials)));
+  for (size_t i = 0; i < std::size(kBadShardResponses); ++i) {
+    add("shard_response.bad_" + std::to_string(i),
+        Outcome(ShardEvaluateResponseFromJson(
+                    *ParseJson(kBadShardResponses[i]), Statistic::Count({0})),
+                ShardEvaluateResponseToJson));
+  }
+  return corpus;
+}
+
+std::string GoldenCorpusPath() {
+  const std::string here = __FILE__;
+  return here.substr(0, here.find_last_of('/') + 1) + "json_codec_golden.txt";
+}
+
+TEST(GoldenCodecCorpus, EveryEntryMatchesByteForByte) {
+  std::ifstream in(GoldenCorpusPath());
+  ASSERT_TRUE(in.good()) << "cannot read " << GoldenCorpusPath();
+  std::vector<std::pair<std::string, std::string>> golden;
+  for (std::string line; std::getline(in, line);) {
+    const size_t tab = line.find('\t');
+    ASSERT_NE(tab, std::string::npos) << line;
+    golden.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  const auto corpus = GoldenCorpus();
+  ASSERT_EQ(corpus.size(), golden.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_EQ(corpus[i].first, golden[i].first) << "entry " << i;
+    EXPECT_EQ(corpus[i].second, golden[i].second) << corpus[i].first;
+  }
+}
+
+/// True when no object anywhere in `v` repeats a key.
+bool KeysAreUnique(const JsonValue& v) {
+  std::set<std::string> seen;
+  for (const auto& [key, member] : v.members()) {
+    if (!seen.insert(key).second || !KeysAreUnique(member)) return false;
+  }
+  for (const JsonValue& e : v.array()) {
+    if (!KeysAreUnique(e)) return false;
+  }
+  return true;
+}
+
+TEST(GoldenCodecCorpus, EncodedObjectsNeverRepeatAKey) {
+  for (const auto& [name, text] : GoldenCorpus()) {
+    auto json = ParseJson(text);
+    if (!json.ok()) continue;  // a rejection message, not a document
+    EXPECT_TRUE(KeysAreUnique(*json)) << name;
+  }
+}
+
+// ------------------------------------------------ strict hex fingerprints
+
+TEST(HexFingerprintCodec, RejectsSignsWhitespaceAndOverflow) {
+  // strtoull would read each of these as some 64-bit value the encoder
+  // never writes: a sign wraps, whitespace is skipped, overflow saturates.
+  for (const char* text : {"-0x1", "+0x1", " 0x10", "0x10 ", "\t1",
+                           "0x1ffffffffffffffff", "00000000000000001", "0x",
+                           "", "0x-1", "0xg"}) {
+    const std::string quoted = WriteJson(JsonValue(text));
+    auto shard = ShardEvaluateRequestFromJson(
+        *ParseJson(MutatedShardRequest("fingerprint", quoted)));
+    ASSERT_FALSE(shard.ok()) << "accepted fingerprint '" << text << "'";
+    EXPECT_EQ(shard.status().message(),
+              "invalid fingerprint '" + std::string(text) + "'");
+    JsonValue provenance = JsonValue::Object();
+    provenance.Set("dataset_fingerprint", JsonValue(text));
+    auto decoded = ProvenanceFromJson(provenance);
+    ASSERT_FALSE(decoded.ok()) << "accepted fingerprint '" << text << "'";
+    EXPECT_EQ(decoded.status().message(),
+              "invalid dataset_fingerprint '" + std::string(text) + "'");
+  }
+}
+
+TEST(HexFingerprintCodec, AcceptsOneToSixteenDigitsWithOptionalPrefix) {
+  const std::pair<const char*, uint64_t> cases[] = {
+      {"0", 0},
+      {"0x0", 0},
+      {"1f", 0x1f},
+      {"0X1F", 0x1f},
+      {"0xDeadBeef", 0xdeadbeef},
+      {"ffffffffffffffff", ~uint64_t{0}},
+      {"0xffffffffffffffff", ~uint64_t{0}},
+      {"0x0000000000000001", 1},
+  };
+  for (const auto& [text, value] : cases) {
+    auto shard = ShardEvaluateRequestFromJson(*ParseJson(
+        MutatedShardRequest("fingerprint", WriteJson(JsonValue(text)))));
+    ASSERT_TRUE(shard.ok()) << text << ": " << shard.status().ToString();
+    EXPECT_TRUE(shard->has_fingerprint);
+    EXPECT_EQ(shard->fingerprint, value) << text;
+    JsonValue provenance = JsonValue::Object();
+    provenance.Set("dataset_fingerprint", JsonValue(text));
+    auto decoded = ProvenanceFromJson(provenance);
+    ASSERT_TRUE(decoded.ok()) << text << ": " << decoded.status().ToString();
+    EXPECT_EQ(decoded->dataset_fingerprint, value) << text;
+  }
+}
+
+TEST(CodecFuzz, ResponseAndShardRequestDecodersNeverCrash) {
+  // The decoders that read network input besides the mining body: the
+  // response (clients) and the shard-evaluate request (every worker).
+  Rng rng(101);
+  for (const v2::MineResponse& response :
+       {SampleThresholdResponse(), SampleTopKResponse()}) {
+    const std::string valid = WriteJson(MineResponseV2ToJson(
+        response, response.topk.regions.empty() ? v2::QueryKind::kThreshold
+                                                : v2::QueryKind::kTopK));
+    ASSERT_TRUE(MineResponseFromJson(*ParseJson(valid)).ok()) << valid;
+    FuzzDecoder(valid, rng, [](const JsonValue& json) {
+      return MineResponseFromJson(json);
+    });
+  }
+  const std::string valid =
+      WriteJson(ShardEvaluateRequestToJson(SampleShardRequest()));
+  ASSERT_TRUE(ShardEvaluateRequestFromJson(*ParseJson(valid)).ok()) << valid;
+  FuzzDecoder(valid, rng, [](const JsonValue& json) {
+    return ShardEvaluateRequestFromJson(json);
+  });
 }
 
 }  // namespace
