@@ -520,6 +520,157 @@ TEST_F(ServiceTest, DuplicateDatasetRegistrationFails) {
   EXPECT_EQ(service().dataset_names(), std::vector<std::string>{"d"});
 }
 
+// ----------------------------------------------- facade/service agreement
+
+/// Region columns 0..d-1, the value column d and a label column d+1
+/// (1 where the value exceeds 1.5): one table serves count, sum,
+/// average, median and label-ratio statistics.
+Dataset AgreementData(size_t dims) {
+  SyntheticSpec spec;
+  spec.dims = dims;
+  spec.num_gt_regions = 1;
+  spec.statistic = SyntheticStatistic::kAggregate;
+  spec.num_background = 2500;
+  spec.seed = 17;
+  const SyntheticDataset ds = SyntheticGenerator::Generate(spec);
+  std::vector<std::string> names;
+  for (size_t j = 0; j <= dims; ++j) names.push_back(std::to_string(j));
+  names.push_back("label");
+  Dataset out(names);
+  for (size_t i = 0; i < ds.data.num_rows(); ++i) {
+    std::vector<double> row = ds.data.Row(i);
+    row.push_back(row[dims] > 1.5 ? 1.0 : 0.0);
+    out.AddRow(row);
+  }
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+TEST(FacadeServiceAgreement, SameRecipeSameAnswerBitForBit) {
+  struct Recipe {
+    size_t dims;
+    StatisticKind kind;
+    ThresholdDirection direction;
+    bool validate;
+    bool use_kde;
+    BackendKind backend;
+    size_t shards;
+    bool auto_scale;
+  };
+  using SK = StatisticKind;
+  constexpr auto kUp = ThresholdDirection::kAbove;
+  constexpr auto kDown = ThresholdDirection::kBelow;
+  constexpr auto kScan = BackendKind::kScan;
+  constexpr auto kGrid = BackendKind::kGridIndex;
+  const std::vector<Recipe> corpus = {
+      {2, SK::kCount, kUp, true, true, kGrid, 1, false},
+      {2, SK::kCount, kDown, false, false, kScan, 3, true},
+      {3, SK::kCount, kUp, true, false, kScan, 1, false},
+      {2, SK::kAverage, kUp, true, true, kScan, 3, false},
+      {3, SK::kAverage, kDown, true, true, kGrid, 1, false},
+      {2, SK::kSum, kUp, false, true, kGrid, 3, false},
+      {2, SK::kSum, kDown, true, false, kGrid, 1, true},
+      {2, SK::kMedian, kUp, true, false, kScan, 1, false},
+      {3, SK::kMedian, kDown, false, true, kScan, 3, false},
+      {2, SK::kLabelRatio, kUp, true, true, kGrid, 3, false},
+      {3, SK::kLabelRatio, kDown, true, false, kScan, 1, false},
+  };
+  const Dataset tables[] = {AgreementData(2), AgreementData(3)};
+  MiningService::Options service_options;
+  service_options.num_threads = 1;
+  MiningService service(service_options);
+  ASSERT_TRUE(service.RegisterDataset("t2", tables[0]).ok());
+  ASSERT_TRUE(service.RegisterDataset("t3", tables[1]).ok());
+
+  size_t validated_recipes = 0;
+  for (size_t r = 0; r < corpus.size(); ++r) {
+    const Recipe& recipe = corpus[r];
+    SCOPED_TRACE("recipe " + std::to_string(r));
+    const Dataset& table = tables[recipe.dims - 2];
+    std::vector<size_t> cols(recipe.dims);
+    for (size_t j = 0; j < recipe.dims; ++j) cols[j] = j;
+    const size_t value_col = recipe.dims;
+    Statistic statistic;
+    switch (recipe.kind) {
+      case SK::kCount: statistic = Statistic::Count(cols); break;
+      case SK::kAverage: statistic = Statistic::Average(cols, value_col); break;
+      case SK::kSum: statistic = Statistic::Sum(cols, value_col); break;
+      case SK::kMedian: statistic = Statistic::MedianOf(cols, value_col); break;
+      default:
+        statistic = Statistic::LabelRatio(cols, value_col + 1, 1.0);
+        break;
+    }
+
+    v2::MineRequest request;
+    request.dataset = recipe.dims == 2 ? "t2" : "t3";
+    request.query.statistic = statistic;
+    request.query.direction = recipe.direction;
+    request.training.workload.num_queries = 400;
+    request.training.workload.seed = 30 + r;
+    request.training.surrogate.gbrt.n_estimators = 20;
+    request.training.surrogate.gbrt.max_depth = 4;
+    request.search.finder.gso.max_iterations = 15;
+    request.search.finder.gso.num_glowworms = 40;
+    request.search.finder.auto_scale_gso = recipe.auto_scale;
+    request.search.finder.use_kde_guidance = false;
+    request.execution.backend = recipe.backend;
+    request.execution.shards = recipe.shards;
+    request.execution.validate = recipe.validate;
+    request.execution.use_kde = recipe.use_kde;
+
+    SurfOptions options;
+    options.workload = request.training.workload;
+    options.surrogate = request.training.surrogate;
+    options.finder = request.search.finder;
+    options.backend = recipe.backend;
+    options.shards = recipe.shards;
+    options.fit_kde = recipe.use_kde;
+    options.validate_results = recipe.validate;
+    auto facade = Surf::Build(&table, statistic, options);
+    ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+    // A threshold on the interesting side of the statistic's spread.
+    const Ecdf ecdf = facade->SampleStatisticEcdf(200, 7);
+    request.query.threshold =
+        ecdf.Quantile(recipe.direction == kUp ? 0.9 : 0.3);
+
+    const FindResult lhs =
+        facade->FindRegions(request.query.threshold, recipe.direction);
+    const v2::MineResponse served = service.Mine(request);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    const FindResult& rhs = served.result;
+
+    EXPECT_EQ(lhs.report.objective_evaluations,
+              rhs.report.objective_evaluations);
+    EXPECT_EQ(lhs.report.iterations, rhs.report.iterations);
+    ASSERT_EQ(lhs.regions.size(), rhs.regions.size());
+    bool any_validated = false;
+    for (size_t i = 0; i < lhs.regions.size(); ++i) {
+      const FoundRegion& a = lhs.regions[i];
+      const FoundRegion& b = rhs.regions[i];
+      EXPECT_TRUE(SameBits(a.region.center(), b.region.center()));
+      EXPECT_TRUE(SameBits(a.region.half_lengths(), b.region.half_lengths()));
+      EXPECT_TRUE(SameBits(a.fitness, b.fitness));
+      EXPECT_TRUE(SameBits(a.estimate, b.estimate));
+      EXPECT_TRUE(SameBits(a.true_value, b.true_value));
+      EXPECT_EQ(a.complies_true, b.complies_true);
+      any_validated = any_validated || !std::isnan(a.true_value);
+    }
+    if (recipe.validate && any_validated) ++validated_recipes;
+  }
+  EXPECT_GE(validated_recipes, 3u);
+}
+
 // ------------------------------------------- training-failure handling
 
 /// Disarms every failpoint on exit so the process-wide registry never
