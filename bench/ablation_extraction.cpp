@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     auto surf = Surf::Build(&ds.data, bench::StatisticFor(ds), options);
     if (!surf.ok()) continue;
     const FindResult result = surf->FindRegions(
-        bench::ThresholdFor(ds), ThresholdDirection::kAbove);
+        bench::ThresholdFor(ds), ThresholdDirection::kAbove).value();
 
     auto report = [&](const char* method,
                       const std::vector<Region>& regions) {

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       auto surf = Surf::Build(&ds.data, bench::StatisticFor(ds), options);
       if (!surf.ok()) continue;
       const FindResult result = surf->FindRegions(
-          bench::ThresholdFor(ds), ThresholdDirection::kAbove);
+          bench::ThresholdFor(ds), ThresholdDirection::kAbove).value();
 
       // Fraction of final particles whose box holds at least one point.
       size_t populated = 0;

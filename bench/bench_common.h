@@ -99,7 +99,7 @@ inline MinerOutput RunSurf(const SyntheticDataset& ds, size_t num_queries,
   }
   out.train_seconds = surf->surrogate().metrics().train_seconds;
   const FindResult result =
-      surf->FindRegions(ThresholdFor(ds), ThresholdDirection::kAbove);
+      surf->FindRegions(ThresholdFor(ds), ThresholdDirection::kAbove).value();
   out.mine_seconds = result.report.seconds;
   for (const auto& r : result.regions) out.regions.push_back(r.region);
   return out;
@@ -122,7 +122,7 @@ inline MinerOutput RunFGso(const SyntheticDataset& ds,
       space, config);
 
   // Same KDE prior SuRF's finder gets from Surf::Build.
-  const Kde kde = FitDataKde(ds.data, ds.region_cols, 2000, 3);
+  const Kde kde = FitDataKde(ds.data, ds.region_cols, kKdeMaxSamples, 3);
   finder.SetKde(&kde);
 
   Stopwatch timer;

@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       const FindResult result =
-          surf->FindRegions(request.query.threshold, request.query.direction);
+          surf->FindRegions(request.query.threshold, request.query.direction)
+              .value();
       if (i == 0) {
         for (const auto& r : result.regions) oneshot_first.push_back(r.region);
       }

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const FindResult result =
-      surf->FindRegions(threshold, ThresholdDirection::kAbove);
+      surf->FindRegions(threshold, ThresholdDirection::kAbove).value();
 
   // ASCII scatter of the final particles over (x1, l1).
   const int W = 64, H = 20;

@@ -38,7 +38,7 @@ void RunCrimes(bool full) {
   const Ecdf ecdf = surf->SampleStatisticEcdf(2000, 9);
   const double q3 = ecdf.Quantile(0.75);
   const FindResult result =
-      surf->FindRegions(q3, ThresholdDirection::kAbove);
+      surf->FindRegions(q3, ThresholdDirection::kAbove).value();
 
   // Heat-map agreement: correlation between surrogate and true counts on
   // a grid of probe cells (the visual Fig. 5 claim, quantified).
@@ -97,7 +97,7 @@ void RunActivity(bool full) {
               y_r, ecdf.Exceedance(y_r));
 
   const FindResult result =
-      surf->FindRegions(y_r, ThresholdDirection::kAbove);
+      surf->FindRegions(y_r, ThresholdDirection::kAbove).value();
   std::printf("regions found: %zu, compliance %.0f%%, best true ratio "
               "%.2f\n",
               result.regions.size(),

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         continue;
       }
       const FindResult result = surf->FindRegions(
-          bench::ThresholdFor(ds), ThresholdDirection::kAbove);
+          bench::ThresholdFor(ds), ThresholdDirection::kAbove).value();
 
       const auto& curve = result.gso.history.mean_fitness;
       iteration_stats.Add(static_cast<double>(result.report.iterations));

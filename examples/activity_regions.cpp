@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
               target_ratio, ecdf.Exceedance(target_ratio));
 
   const surf::FindResult result =
-      pipeline.FindRegions(target_ratio, surf::ThresholdDirection::kAbove);
+      pipeline.FindRegions(target_ratio, surf::ThresholdDirection::kAbove)
+          .value();
 
   surf::TablePrinter table(
       {"region", "center (x,y,z)", "est. ratio", "true ratio", "complies"});

@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   }
   const double min_purity = flags.GetDouble("purity", 0.85);
   const surf::FindResult result =
-      surf_or->FindRegions(min_purity, surf::ThresholdDirection::kAbove);
+      surf_or->FindRegions(min_purity, surf::ThresholdDirection::kAbove)
+          .value();
 
   surf::TablePrinter table(
       {"rule", "box (f1, f2)", "est. purity", "true purity"});

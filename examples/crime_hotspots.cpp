@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               ecdf.Quantile(0.25), ecdf.Quantile(0.5), q3);
 
   const surf::FindResult result =
-      pipeline.FindRegions(q3, surf::ThresholdDirection::kAbove);
+      pipeline.FindRegions(q3, surf::ThresholdDirection::kAbove).value();
 
   surf::TablePrinter table({"region", "center", "half-size", "estimate",
                             "true count", "complies f>Q3"});

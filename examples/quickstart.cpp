@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   // 3. Mine all regions with more than 1,000 points.
   const double threshold = flags.GetDouble("threshold", 1000.0);
   const surf::FindResult result = surf_pipeline.FindRegions(
-      threshold, surf::ThresholdDirection::kAbove);
+      threshold, surf::ThresholdDirection::kAbove).value();
 
   std::printf(
       "mining: %.2fs, %zu iterations, %llu surrogate evaluations, "

@@ -25,12 +25,11 @@ Status ValidateAndNormalize(MineRequest* request) {
     return Status::InvalidArgument(
         "statistic.region_cols must name at least one column");
   }
-  if (request->query.kind == QueryKind::kThreshold &&
-      !std::isfinite(request->query.threshold)) {
-    return Status::InvalidArgument("threshold must be finite");
+  if (request->query.kind == QueryKind::kThreshold) {
+    SURF_RETURN_IF_ERROR(CheckThreshold(request->query.threshold));
   }
-  if (request->query.kind == QueryKind::kTopK && request->search.topk.k == 0) {
-    return Status::InvalidArgument("top-k queries need k >= 1");
+  if (request->query.kind == QueryKind::kTopK) {
+    SURF_RETURN_IF_ERROR(CheckTopK(request->search.topk));
   }
   if (request->execution.record_evaluations && !request->execution.validate) {
     return Status::InvalidArgument(
@@ -38,10 +37,7 @@ Status ValidateAndNormalize(MineRequest* request) {
         "validated true statistics, which an unvalidated request never "
         "computes");
   }
-  if (request->training.workload.num_queries == 0) {
-    return Status::InvalidArgument(
-        "training.workload.num_queries must be >= 1");
-  }
+  SURF_RETURN_IF_ERROR(CheckWorkload(request->training.workload));
   if (std::isnan(request->execution.deadline_seconds) ||
       request->execution.deadline_seconds < 0.0) {
     return Status::InvalidArgument(

@@ -20,10 +20,10 @@ namespace surf {
 struct FinderConfig {
   /// GSO engine parameters (swarm size, iterations, radii, seeding).
   GsoParams gso;
-  /// Let Surf::Build retune the GSO neighbourhood radius and swarm size
-  /// for the data dimensionality per the paper's §V-G rules (L = 50·d,
-  /// r0 = (1 − ½^{1/L})^{1/d}). Explicitly set num_glowworms survive as
-  /// a lower bound. Disable to drive the raw GsoParams untouched.
+  /// Floor the swarm at the paper's §V-G size for the data
+  /// dimensionality (L = 50·d) in RunSearch, for threshold and top-k
+  /// queries alike; a larger num_glowworms is kept. Radii stay at their
+  /// configured fractions. Disable to drive the raw GsoParams untouched.
   bool auto_scale_gso = true;
   /// Size regularizer c (paper Eq. 2/4; §V uses 4).
   double c = 4.0;
@@ -139,11 +139,6 @@ class SurfFinder {
 
   /// Mines regions whose statistic is above/below `threshold`.
   FindResult Find(double threshold, ThresholdDirection direction) const;
-
-  /// The finder configuration.
-  const FinderConfig& config() const { return config_; }
-  /// The particle solution space.
-  const RegionSolutionSpace& space() const { return space_; }
 
  private:
   StatisticFn estimate_;

@@ -1,7 +1,7 @@
 #include "core/surf.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <numeric>
 
 #include "stats/grid_index.h"
@@ -61,80 +61,145 @@ Kde FitDataKde(const Dataset& data, const std::vector<size_t>& region_cols,
   return Kde::Fit(points);
 }
 
-StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
-                           const SurfOptions& options, ThreadPool* pool) {
-  if (data == nullptr || data->num_rows() == 0) {
-    return Status::InvalidArgument("null or empty dataset");
+StatusOr<TrainedSurrogate> TrainSurrogate(
+    std::shared_ptr<const RegionEvaluator> evaluator, const Dataset& data,
+    const Statistic& statistic, const WorkloadParams& params,
+    const SurrogateTrainOptions& options, CancelToken cancel,
+    TraceContext* trace, RegionWorkload* workload) {
+  const Bounds domain = data.ComputeBounds(statistic.region_cols);
+  RegionWorkload labelled =
+      GenerateWorkload(*evaluator, domain, params, cancel, trace);
+  if (cancel.cancelled()) return cancel.ToStatus();
+  if (labelled.size() == 0) {
+    return Status::FailedPrecondition(
+        "workload generation produced no defined statistics");
   }
+
+  // No shared-pool parallelism here: the serving layer may call this on
+  // a pool worker, and ThreadPool::Wait drains the *whole* pool — nesting
+  // would deadlock. GBRT-internal threading (params.num_threads) is
+  // independent of any pool. Surrogate::Train records its own kTraining
+  // stage span, so none is added here (two would double-count it).
+  auto surrogate = Surrogate::Train(labelled, options, nullptr, cancel, trace);
+  if (!surrogate.ok()) return surrogate.status();
+
+  TrainedSurrogate trained;
+  trained.surrogate = std::move(surrogate).value();
+  trained.evaluator = std::move(evaluator);
+  {
+    // The KDE prior is always fitted (cheap — a bounded subsample) so any
+    // later search can opt into Eq. 8 guidance.
+    TraceSpan span(trace, "kde_fit", TraceStage::kTraining);
+    trained.kde = std::make_shared<const Kde>(FitDataKde(
+        data, statistic.region_cols, kKdeMaxSamples, params.seed + 1, cancel));
+  }
+  if (cancel.cancelled()) return cancel.ToStatus();
+  if (workload != nullptr) *workload = std::move(labelled);
+  return trained;
+}
+
+bool RunSearch(const Surrogate& surrogate, const SearchSpec& spec,
+               FindResult* result, TopKResult* topk) {
+  // §V-G swarm sizing (L = 50·d) as a lower bound on the caller's
+  // choice; radius fractions stay at their space-relative defaults.
+  const size_t min_swarm =
+      spec.finder->auto_scale_gso
+          ? GsoParams::PaperScaled(surrogate.dims()).num_glowworms
+          : 0;
+  // The finder roams the space the surrogate was trained on: boxes larger
+  // than any training example would let the optimizer exploit
+  // unconstrained model behaviour. Narrow valid basins are found by
+  // KDE-seeded initialization instead (§III-B guidance at t = 0).
+  if (spec.topk != nullptr) {
+    TopKConfig config = *spec.topk;
+    config.gso.num_glowworms = std::max(config.gso.num_glowworms, min_swarm);
+    TopKFinder finder(surrogate.AsStatisticFn(), surrogate.space(), config);
+    finder.SetBatchEstimate(surrogate.AsBatchStatisticFn());
+    finder.SetKde(spec.kde);
+    finder.SetCancelToken(spec.cancel);
+    finder.SetProgress(spec.progress);
+    finder.SetTrace(spec.trace);
+    *topk = finder.Find();
+    return topk->cancelled;
+  }
+  FinderConfig config = *spec.finder;
+  config.gso.num_glowworms = std::max(config.gso.num_glowworms, min_swarm);
+  SurfFinder finder(surrogate.AsStatisticFn(), surrogate.space(), config);
+  finder.SetBatchEstimate(surrogate.AsBatchStatisticFn());
+  finder.SetKde(spec.kde);
+  finder.SetValidator(spec.validator);
+  finder.SetCancelToken(spec.cancel);
+  finder.SetProgress(spec.progress);
+  finder.SetTrace(spec.trace);
+  *result = finder.Find(spec.threshold, spec.direction);
+  return result->report.cancelled;
+}
+
+Status CheckStatisticColumns(const Dataset& data,
+                             const Statistic& statistic) {
   if (statistic.region_cols.empty()) {
     return Status::InvalidArgument("statistic has no region columns");
   }
   for (size_t c : statistic.region_cols) {
-    if (c >= data->num_cols()) {
+    if (c >= data.num_cols()) {
       return Status::InvalidArgument("region column out of range");
     }
   }
   if (statistic.needs_value_column() &&
       (statistic.value_col < 0 ||
-       static_cast<size_t>(statistic.value_col) >= data->num_cols())) {
+       static_cast<size_t>(statistic.value_col) >= data.num_cols())) {
     return Status::InvalidArgument("value column out of range");
   }
+  return Status::OK();
+}
 
+Status CheckThreshold(double threshold) {
+  return std::isfinite(threshold)
+             ? Status::OK()
+             : Status::InvalidArgument("threshold must be finite");
+}
+
+Status CheckTopK(const TopKConfig& topk) {
+  return topk.k >= 1 ? Status::OK()
+                     : Status::InvalidArgument("top-k queries need k >= 1");
+}
+
+Status CheckWorkload(const WorkloadParams& workload) {
+  return workload.num_queries >= 1
+             ? Status::OK()
+             : Status::InvalidArgument(
+                   "training.workload.num_queries must be >= 1");
+}
+
+StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
+                           const SurfOptions& options) {
+  if (data == nullptr || data->num_rows() == 0) {
+    return Status::InvalidArgument("null or empty dataset");
+  }
+  SURF_RETURN_IF_ERROR(CheckStatisticColumns(*data, statistic));
+  SURF_RETURN_IF_ERROR(CheckWorkload(options.workload));
+  auto trained = TrainSurrogate(
+      MakeEvaluator(options.backend, data, statistic, options.shards), *data,
+      statistic, options.workload, options.surrogate);
+  if (!trained.ok()) return trained.status();
   Surf surf;
-  surf.data_ = data;
   surf.options_ = options;
-  surf.evaluator_ =
-      MakeEvaluator(options.backend, data, statistic, options.shards);
-
-  const Bounds domain = data->ComputeBounds(statistic.region_cols);
-  const RegionWorkload workload =
-      GenerateWorkload(*surf.evaluator_, domain, options.workload);
-  if (workload.size() == 0) {
-    return Status::FailedPrecondition(
-        "workload generation produced no defined statistics");
-  }
-
-  auto surrogate = Surrogate::Train(workload, options.surrogate, pool);
-  if (!surrogate.ok()) return surrogate.status();
-  surf.surrogate_ = std::move(surrogate).value();
-
-  // The finder roams the same length range the surrogate was trained on;
-  // extrapolating to larger boxes than any training example would let the
-  // optimizer exploit unconstrained model behaviour. Discovery of narrow
-  // valid basins is instead handled by KDE-seeded initialization (§III-B
-  // guidance applied at t = 0, see GlowwormSwarmOptimizer::Optimize).
-  surf.space_ = workload.space;
-
-  if (options.fit_kde) {
-    surf.kde_ = std::make_unique<Kde>(
-        FitDataKde(*data, statistic.region_cols, options.kde_max_samples,
-                   options.workload.seed + 1));
-  }
-
-  FinderConfig finder_config = options.finder;
-  if (finder_config.auto_scale_gso) {
-    // §V-G swarm sizing (L = 50·d) as a lower bound on the caller's
-    // choice; radius fractions stay at their space-relative defaults.
-    GsoParams& gso = finder_config.gso;
-    gso.num_glowworms =
-        std::max(gso.num_glowworms,
-                 GsoParams::PaperScaled(statistic.region_cols.size())
-                     .num_glowworms);
-  }
-  surf.finder_ = std::make_unique<SurfFinder>(
-      surf.surrogate_.AsStatisticFn(), surf.space_, finder_config);
-  surf.finder_->SetBatchEstimate(surf.surrogate_.AsBatchStatisticFn());
-  if (surf.kde_ != nullptr) surf.finder_->SetKde(surf.kde_.get());
-  if (options.validate_results) {
-    surf.finder_->SetValidator(surf.evaluator_.get());
-  }
+  surf.trained_ = std::move(trained).value();
   return surf;
 }
 
-FindResult Surf::FindRegions(double threshold,
-                             ThresholdDirection direction) const {
-  assert(finder_ != nullptr);
-  return finder_->Find(threshold, direction);
+StatusOr<FindResult> Surf::FindRegions(double threshold,
+                                       ThresholdDirection direction) const {
+  SURF_RETURN_IF_ERROR(CheckThreshold(threshold));
+  SearchSpec spec;
+  spec.finder = &options_.finder;
+  spec.threshold = threshold;
+  spec.direction = direction;
+  if (options_.fit_kde) spec.kde = trained_.kde.get();
+  if (options_.validate_results) spec.validator = trained_.evaluator.get();
+  FindResult result;
+  RunSearch(trained_.surrogate, spec, &result, nullptr);
+  return result;
 }
 
 Ecdf Surf::SampleStatisticEcdf(size_t n, uint64_t seed) const {
@@ -142,7 +207,7 @@ Ecdf Surf::SampleStatisticEcdf(size_t n, uint64_t seed) const {
   std::vector<double> samples;
   samples.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    samples.push_back(evaluator_->Evaluate(space_.Sample(&rng)));
+    samples.push_back(evaluator().Evaluate(space().Sample(&rng)));
   }
   return Ecdf(std::move(samples));
 }

@@ -21,6 +21,30 @@ void GatherFold(const RegionWorkload& workload,
   for (size_t r : rows) y->push_back(workload.targets[r]);
 }
 
+/// The holdout fit every surrogate class shares: fits `model` on the
+/// seeded training split of `workload` (`test_fraction` held out, 0.2
+/// when unset) and measures the RMSE of both splits.
+StatusOr<SurrogateMetrics> FitOnSplit(Regressor* model,
+                                      const RegionWorkload& workload,
+                                      double test_fraction, uint64_t seed) {
+  Rng rng(seed);
+  Fold split = TrainTestSplit(
+      workload.size(), test_fraction > 0.0 ? test_fraction : 0.2, &rng);
+  FeatureMatrix train_x;
+  std::vector<double> train_y;
+  GatherFold(workload, split.train, &train_x, &train_y);
+  SURF_RETURN_IF_ERROR(model->Fit(train_x, train_y));
+
+  SurrogateMetrics metrics;
+  metrics.num_train_examples = split.train.size();
+  metrics.train_rmse = Rmse(model->PredictBatch(train_x), train_y);
+  FeatureMatrix test_x;
+  std::vector<double> test_y;
+  GatherFold(workload, split.test, &test_x, &test_y);
+  metrics.test_rmse = Rmse(model->PredictBatch(test_x), test_y);
+  return metrics;
+}
+
 }  // namespace
 
 StatusOr<Surrogate> Surrogate::Train(const RegionWorkload& workload,
@@ -47,44 +71,26 @@ StatusOr<Surrogate> Surrogate::Train(const RegionWorkload& workload,
     hypertuned = true;
   }
 
-  Surrogate surrogate;
   auto model = std::make_unique<GradientBoostedTrees>(params);
   model->SetCancelToken(cancel);
   model->SetTrace(trace);
-
   // Holdout split for out-of-sample RMSE reporting.
-  Rng rng(options.seed);
-  Fold split = TrainTestSplit(workload.size(),
-                              options.test_fraction > 0.0
-                                  ? options.test_fraction
-                                  : 0.2,
-                              &rng);
-  FeatureMatrix train_x;
-  std::vector<double> train_y;
-  GatherFold(workload, split.train, &train_x, &train_y);
-  SURF_RETURN_IF_ERROR(model->Fit(train_x, train_y));
+  auto metrics =
+      FitOnSplit(model.get(), workload, options.test_fraction, options.seed);
+  if (!metrics.ok()) return metrics.status();
   // The token and trace are per-request state; a later warm-start
   // continuation of this model must not observe them.
   model->SetCancelToken(CancelToken());
   model->SetTrace(nullptr);
 
-  SurrogateMetrics metrics;
-  metrics.hypertuned = hypertuned;
-  metrics.chosen_params = params;
-  metrics.num_train_examples = split.train.size();
-  metrics.train_rmse = Rmse(model->PredictBatch(train_x), train_y);
-  {
-    FeatureMatrix test_x;
-    std::vector<double> test_y;
-    GatherFold(workload, split.test, &test_x, &test_y);
-    metrics.test_rmse = Rmse(model->PredictBatch(test_x), test_y);
-  }
-  metrics.train_seconds = timer.ElapsedSeconds();
-
+  Surrogate surrogate;
   surrogate.model_ = std::move(model);
   surrogate.space_ = workload.space;
   surrogate.statistic_ = workload.statistic;
-  surrogate.metrics_ = metrics;
+  surrogate.metrics_ = *metrics;
+  surrogate.metrics_.hypertuned = hypertuned;
+  surrogate.metrics_.chosen_params = params;
+  surrogate.metrics_.train_seconds = timer.ElapsedSeconds();
   return surrogate;
 }
 
@@ -98,30 +104,15 @@ StatusOr<Surrogate> Surrogate::TrainWithModel(
     return Status::InvalidArgument("null model");
   }
   Stopwatch timer;
-  Rng rng(seed);
-  Fold split = TrainTestSplit(
-      workload.size(), test_fraction > 0.0 ? test_fraction : 0.2, &rng);
-  FeatureMatrix train_x;
-  std::vector<double> train_y;
-  GatherFold(workload, split.train, &train_x, &train_y);
-  SURF_RETURN_IF_ERROR(model->Fit(train_x, train_y));
+  auto metrics = FitOnSplit(model.get(), workload, test_fraction, seed);
+  if (!metrics.ok()) return metrics.status();
 
   Surrogate surrogate;
-  SurrogateMetrics metrics;
-  metrics.num_train_examples = split.train.size();
-  metrics.train_rmse = Rmse(model->PredictBatch(train_x), train_y);
-  {
-    FeatureMatrix test_x;
-    std::vector<double> test_y;
-    GatherFold(workload, split.test, &test_x, &test_y);
-    metrics.test_rmse = Rmse(model->PredictBatch(test_x), test_y);
-  }
-  metrics.train_seconds = timer.ElapsedSeconds();
-
   surrogate.model_ = std::move(model);
   surrogate.space_ = workload.space;
   surrogate.statistic_ = workload.statistic;
-  surrogate.metrics_ = metrics;
+  surrogate.metrics_ = *metrics;
+  surrogate.metrics_.train_seconds = timer.ElapsedSeconds();
   return surrogate;
 }
 

@@ -83,9 +83,6 @@ class TopKFinder {
   /// Mines the k highest-statistic regions.
   TopKResult Find() const;
 
-  /// The top-k configuration.
-  const TopKConfig& config() const { return config_; }
-
  private:
   StatisticFn estimate_;
   BatchStatisticFn batch_estimate_;  // may be null

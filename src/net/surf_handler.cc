@@ -623,17 +623,9 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
           Status::InvalidArgument("partition column out of range"));
     }
   }
-  for (size_t c : decoded->statistic.region_cols) {
-    if (c >= data->num_cols()) {
-      return StatusResponse(
-          Status::InvalidArgument("region column out of range"));
-    }
-  }
-  if (decoded->statistic.needs_value_column() &&
-      (decoded->statistic.value_col < 0 ||
-       static_cast<size_t>(decoded->statistic.value_col) >=
-           data->num_cols())) {
-    return StatusResponse(Status::InvalidArgument("value column out of range"));
+  if (Status columns = CheckStatisticColumns(*data, decoded->statistic);
+      !columns.ok()) {
+    return StatusResponse(columns);
   }
   const size_t dims = decoded->statistic.region_cols.size();
   for (const Region& q : decoded->queries) {

@@ -8,7 +8,6 @@
 #include "dist/worker_pool.h"
 #include "ml/grid_search.h"
 #include "util/failpoint.h"
-#include "util/retry.h"
 #include "util/stopwatch.h"
 
 namespace surf {
@@ -95,21 +94,8 @@ StatusOr<const MiningService::NamedDataset*> MiningService::ResolveRequest(
     return Status::NotFound("dataset '" + request.dataset +
                             "' not registered");
   }
-  const Dataset* data = named->data.get();
-  const Statistic& statistic = request.query.statistic;
-  if (statistic.region_cols.empty()) {
-    return Status::InvalidArgument("statistic has no region columns");
-  }
-  for (size_t c : statistic.region_cols) {
-    if (c >= data->num_cols()) {
-      return Status::InvalidArgument("region column out of range");
-    }
-  }
-  if (statistic.needs_value_column() &&
-      (statistic.value_col < 0 ||
-       static_cast<size_t>(statistic.value_col) >= data->num_cols())) {
-    return Status::InvalidArgument("value column out of range");
-  }
+  SURF_RETURN_IF_ERROR(
+      CheckStatisticColumns(*named->data, request.query.statistic));
   return named;
 }
 
@@ -159,10 +145,7 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
     const v2::MineRequest& request, const NamedDataset& named,
     CancelToken cancel, TraceContext* trace) {
   SURF_FAILPOINT("serve.train");
-  const Dataset* data = named.data.get();
   const Statistic& statistic = request.query.statistic;
-  const WorkloadParams& workload_params = request.training.workload;
-  const SurrogateTrainOptions& surrogate_options = request.training.surrogate;
   std::shared_ptr<const RegionEvaluator> evaluator;
   if (request.execution.cluster) {
     // Cluster mode swaps only the exact back-end: labelling and
@@ -182,46 +165,17 @@ StatusOr<TrainedSurrogate> MiningService::TrainEntry(
   } else {
     evaluator = SharedEvaluator(request, named);
   }
-  const Bounds domain = data->ComputeBounds(statistic.region_cols);
-  const RegionWorkload workload =
-      GenerateWorkload(*evaluator, domain, workload_params, cancel, trace);
-  if (cancel.cancelled()) return cancel.ToStatus();
-  if (workload.size() == 0) {
-    return Status::FailedPrecondition(
-        "workload generation produced no defined statistics");
-  }
-
-  // No shared-pool parallelism here: TrainEntry may itself be running on a
-  // pool worker (MineBatch), and ThreadPool::Wait drains the *whole* pool
-  // — nesting would deadlock. GBRT-internal threading (params.num_threads)
-  // is independent of the service pool and stays available.
-  // Surrogate::Train records its own kTraining stage span, so the
-  // service adds none here (nesting two would double-count the stage).
-  auto surrogate =
-      Surrogate::Train(workload, surrogate_options, nullptr, cancel, trace);
-  if (!surrogate.ok()) return surrogate.status();
-
-  TrainedSurrogate trained;
-  trained.surrogate = std::move(surrogate).value();
-  trained.evaluator = std::move(evaluator);
-
-  // The KDE prior is always fitted with the entry (cheap — a bounded
-  // subsample) so every later request can opt into Eq. 8 guidance
-  // regardless of what the entry-creating request asked for.
-  trained.kde = [&] {
-    TraceSpan span(trace, "kde_fit", TraceStage::kTraining);
-    return std::make_shared<const Kde>(FitDataKde(
-        *data, statistic.region_cols, options_.kde_max_samples,
-        workload_params.seed + 1, cancel));
-  }();
-  if (cancel.cancelled()) return cancel.ToStatus();
-
-  if (options_.provenance_cv_folds >= 2) {
+  RegionWorkload workload;
+  auto trained = TrainSurrogate(std::move(evaluator), *named.data, statistic,
+                                request.training.workload,
+                                request.training.surrogate, cancel, trace,
+                                &workload);
+  if (trained.ok() && options_.provenance_cv_folds >= 2) {
     TraceSpan span(trace, "cross_validation", TraceStage::kTraining);
-    trained.cv_rmse = CrossValidatedRmse(
+    trained->cv_rmse = CrossValidatedRmse(
         workload.features, workload.targets,
-        trained.surrogate.metrics().chosen_params,
-        options_.provenance_cv_folds, surrogate_options.seed);
+        trained->surrogate.metrics().chosen_params,
+        options_.provenance_cv_folds, request.training.surrogate.seed);
   }
   return trained;
 }
@@ -250,11 +204,6 @@ StatusOr<std::shared_ptr<CachedSurrogate>> MiningService::EntryFor(
         return trained;
       },
       was_hit, cancel);
-}
-
-std::shared_ptr<MineJob> MiningService::MakeJob(
-    const v2::MineRequest& request) {
-  return std::shared_ptr<MineJob>(new MineJob(request));
 }
 
 void MiningService::RunJob(const std::shared_ptr<MineJob>& job) {
@@ -298,70 +247,38 @@ void MiningService::ExecuteJob(const std::shared_ptr<MineJob>& job,
   response.cache_hit = hit;
   const SurrogateSnapshot snap = (*entry)->Snapshot();
   response.provenance = snap.provenance;
-  const size_t dims = snap.surrogate->dims();
   job->SetPhase(MineJob::Phase::kSearching);
 
-  if (request.query.kind == v2::QueryKind::kTopK) {
-    TopKConfig config = request.search.topk;
-    // Same §V-G swarm-size floor as the threshold path, gated by the
-    // same opt-out (search.finder.auto_scale_gso).
-    if (request.search.finder.auto_scale_gso) {
-      config.gso.num_glowworms =
-          std::max(config.gso.num_glowworms,
-                   GsoParams::PaperScaled(dims).num_glowworms);
+  const bool topk = request.query.kind == v2::QueryKind::kTopK;
+  const SearchSpec spec{
+      .finder = &request.search.finder,
+      .topk = topk ? &request.search.topk : nullptr,
+      .threshold = request.query.threshold,
+      .direction = request.query.direction,
+      .kde = execution.use_kde ? snap.kde.get() : nullptr,
+      .validator = execution.validate ? snap.evaluator.get() : nullptr,
+      .cancel = cancel,
+      .progress = &job->search_progress_,
+      .trace = trace};
+  if (RunSearch(*snap.surrogate, spec, &response.result, &response.topk)) {
+    // Partial results and provenance ride along with the Cancelled
+    // status; feedback recording is skipped for cancelled searches.
+    response.status = Status::Cancelled("mining cancelled mid-search");
+  } else if (!topk && execution.record_evaluations && execution.validate) {
+    RegionWorkload fresh;
+    fresh.space = snap.surrogate->space();
+    fresh.statistic = snap.surrogate->statistic();
+    fresh.features = FeatureMatrix(2 * snap.surrogate->dims());
+    for (const auto& found : response.result.regions) {
+      if (std::isnan(found.true_value)) continue;
+      fresh.features.AddRow(RegionFeatures(found.region));
+      fresh.targets.push_back(found.true_value);
     }
-    TopKFinder finder(snap.surrogate->AsStatisticFn(), snap.space, config);
-    finder.SetBatchEstimate(snap.surrogate->AsBatchStatisticFn());
-    if (execution.use_kde && snap.kde != nullptr) {
-      finder.SetKde(snap.kde.get());
-    }
-    finder.SetCancelToken(cancel);
-    finder.SetProgress(&job->search_progress_);
-    finder.SetTrace(trace);
-    response.topk = finder.Find();
-    if (response.topk.cancelled) {
-      response.status = Status::Cancelled("mining cancelled mid-search");
-    }
-  } else {
-    FinderConfig config = request.search.finder;
-    if (config.auto_scale_gso) {
-      config.gso.num_glowworms =
-          std::max(config.gso.num_glowworms,
-                   GsoParams::PaperScaled(dims).num_glowworms);
-    }
-    SurfFinder finder(snap.surrogate->AsStatisticFn(), snap.space, config);
-    finder.SetBatchEstimate(snap.surrogate->AsBatchStatisticFn());
-    if (execution.use_kde && snap.kde != nullptr) {
-      finder.SetKde(snap.kde.get());
-    }
-    if (execution.validate && snap.evaluator != nullptr) {
-      finder.SetValidator(snap.evaluator.get());
-    }
-    finder.SetCancelToken(cancel);
-    finder.SetProgress(&job->search_progress_);
-    finder.SetTrace(trace);
-    response.result =
-        finder.Find(request.query.threshold, request.query.direction);
-    if (response.result.report.cancelled) {
-      // Partial results and provenance ride along with the Cancelled
-      // status; feedback recording is skipped for cancelled searches.
-      response.status = Status::Cancelled("mining cancelled mid-search");
-    } else if (execution.record_evaluations && execution.validate) {
-      RegionWorkload fresh;
-      fresh.space = snap.space;
-      fresh.statistic = snap.surrogate->statistic();
-      fresh.features = FeatureMatrix(2 * dims);
-      for (const auto& found : response.result.regions) {
-        if (std::isnan(found.true_value)) continue;
-        fresh.features.AddRow(RegionFeatures(found.region));
-        fresh.targets.push_back(found.true_value);
-      }
-      if (fresh.size() > 0) {
-        // Best-effort: a failed warm start must not fail the mining
-        // response that triggered it.
-        (void)(*entry)->Append(fresh);
-        response.provenance = (*entry)->provenance();
-      }
+    if (fresh.size() > 0) {
+      // Best-effort: a failed warm start must not fail the mining
+      // response that triggered it.
+      (void)(*entry)->Append(fresh);
+      response.provenance = (*entry)->provenance();
     }
   }
   // Cluster-mode degradation (a shard group re-homed after a worker
@@ -380,26 +297,20 @@ v2::MineResponse MiningService::Mine(const v2::MineRequest& request) {
   // The job core runs inline on the calling thread, never re-queued onto
   // the pool: a pool worker blocking on a job queued behind itself would
   // deadlock.
-  auto job = MakeJob(request);
+  auto job = std::shared_ptr<MineJob>(new MineJob(request));
   RunJob(job);
   return job->TakeResponse();
 }
 
 std::shared_ptr<MineJob> MiningService::Submit(const v2::MineRequest& request) {
-  return Schedule(MakeJob(request));
-}
-
-std::shared_ptr<MineJob> MiningService::Schedule(
-    std::shared_ptr<MineJob> job) {
+  auto job = std::shared_ptr<MineJob>(new MineJob(request));
   {
+    // Registered for shutdown cancellation; handles whose jobs finished
+    // and were dropped everywhere are pruned.
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    // Prune handles whose jobs finished and were dropped everywhere.
-    live_jobs_.erase(
-        std::remove_if(live_jobs_.begin(), live_jobs_.end(),
-                       [](const std::weak_ptr<MineJob>& weak) {
-                         return weak.expired();
-                       }),
-        live_jobs_.end());
+    std::erase_if(live_jobs_, [](const std::weak_ptr<MineJob>& weak) {
+      return weak.expired();
+    });
     live_jobs_.push_back(job);
   }
   pool_.Submit([this, job] { RunJob(job); });

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "api/api_v2.h"
-#include "core/finder.h"
 #include "core/surf.h"
-#include "core/topk.h"
 #include "serve/mine_job.h"
 #include "serve/surrogate_cache.h"
 #include "util/cancel.h"
@@ -35,9 +33,10 @@ class WorkerPool;
 /// Concurrent requests for the same (dataset, statistic, workload recipe,
 /// model recipe) share one trained surrogate — the first request trains,
 /// the rest block on the in-flight fit, and later ones hit the cache
-/// outright. Mining itself (GSO/PSO/top-k search) runs per request
-/// against read-only model snapshots, so any number of requests can be in
-/// flight at once.
+/// outright. Training and search are the library pipeline's own
+/// TrainSurrogate and RunSearch (core/surf.h), the two functions Surf
+/// runs too; search runs per request against read-only model snapshots,
+/// so any number of requests can be in flight at once.
 ///
 /// Requests are served through one asynchronous job core: Submit returns
 /// a MineJob handle (Wait/TryGet/Cancel/progress) whose cancel token is
@@ -60,8 +59,8 @@ class MiningService {
     /// provenance (costs `provenance_cv_folds` extra fits per training).
     /// 0 skips CV; provenance then carries only the holdout RMSE.
     size_t provenance_cv_folds = 0;
-    /// Sample cap for the per-entry KDE data prior.
-    size_t kde_max_samples = 2000;
+    /// Sample cap of every entry's KDE prior (kKdeMaxSamples; fixed).
+    static constexpr size_t kde_max_samples = kKdeMaxSamples;
     /// Retry policy for failed surrogate trainings (transient failures
     /// only; cancellation and invalid requests are never retried). The
     /// single-flight leader retries while its waiters keep waiting. The
@@ -145,8 +144,6 @@ class MiningService {
   SurrogateCache& cache() { return cache_; }
   /// Read-only view of the surrogate cache.
   const SurrogateCache& cache() const { return cache_; }
-  /// The worker pool MineBatch schedules over.
-  ThreadPool& pool() { return pool_; }
   /// Worker-thread count of the pool.
   size_t num_threads() const { return pool_.num_threads(); }
   /// Completed traces of recent traced requests (backs `/v1/trace/{id}`).
@@ -181,10 +178,9 @@ class MiningService {
   std::shared_ptr<const RegionEvaluator> SharedEvaluator(
       const v2::MineRequest& request, const NamedDataset& named);
 
-  /// Trains a cache entry for `request` (runs on a miss, outside the
-  /// cache lock). `cancel` threads through workload labelling, KDE
-  /// fitting, and GBRT boosting rounds; `trace` (nullable) records
-  /// workload_gen/labelling/training spans.
+  /// Trains a cache entry for `request` on a miss, outside the cache
+  /// lock: TrainSurrogate over the shared (or cluster) evaluator, plus
+  /// the CV provenance. `cancel` and `trace` (nullable) pass through.
   StatusOr<TrainedSurrogate> TrainEntry(const v2::MineRequest& request,
                                         const NamedDataset& named,
                                         CancelToken cancel,
@@ -198,14 +194,6 @@ class MiningService {
   StatusOr<std::shared_ptr<CachedSurrogate>> EntryFor(
       const v2::MineRequest& request, CancelToken cancel, bool* was_hit,
       TraceContext* trace);
-
-  /// Creates the job object for a request (not yet scheduled); the job
-  /// owns its copy of the request.
-  static std::shared_ptr<MineJob> MakeJob(const v2::MineRequest& request);
-
-  /// Registers the job for shutdown cancellation and enqueues it on the
-  /// pool.
-  std::shared_ptr<MineJob> Schedule(std::shared_ptr<MineJob> job);
 
   /// The one mining core every entry point funnels into: validation of
   /// the job's request, surrogate resolution, cancellable search,

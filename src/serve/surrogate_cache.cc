@@ -17,7 +17,6 @@ SurrogateSnapshot CachedSurrogate::Snapshot() const {
   snap.surrogate = model_;
   snap.kde = kde_;
   snap.evaluator = evaluator_;
-  snap.space = space_;
   snap.provenance = provenance_;
   return snap;
 }
@@ -30,7 +29,6 @@ SurrogateProvenance CachedSurrogate::provenance() const {
 void CachedSurrogate::Publish(TrainedSurrogate trained,
                               uint64_t dataset_fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  space_ = trained.surrogate.space();
   provenance_.dataset_fingerprint = dataset_fingerprint;
   provenance_.training_set_size =
       trained.surrogate.metrics().num_train_examples;
@@ -42,10 +40,6 @@ void CachedSurrogate::Publish(TrainedSurrogate trained,
   evaluator_ = std::move(trained.evaluator);
   state_ = State::kReady;
   cv_.notify_all();
-}
-
-void CachedSurrogate::Fail(Status status) {
-  FailWithFallback(std::move(status), nullptr);
 }
 
 void CachedSurrogate::FailWithFallback(

@@ -14,11 +14,8 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "core/surrogate.h"
-#include "core/workload.h"
-#include "ml/kde.h"
+#include "core/surf.h"
 #include "serve/fingerprint.h"
-#include "stats/evaluator.h"
 #include "util/cancel.h"
 #include "util/status.h"
 
@@ -67,23 +64,8 @@ struct SurrogateSnapshot {
   /// Exact back-end for result validation and fresh labelling (never
   /// null for service-built entries).
   std::shared_ptr<const RegionEvaluator> evaluator;
-  /// Solution space the surrogate is valid over.
-  RegionSolutionSpace space;
   /// Declared pedigree of the model at snapshot time.
   SurrogateProvenance provenance;
-};
-
-/// \brief What a cache-miss factory must produce: the trained surrogate
-/// plus its companions.
-struct TrainedSurrogate {
-  /// The freshly trained model.
-  Surrogate surrogate;
-  /// KDE data prior (null when not fitted).
-  std::shared_ptr<const Kde> kde;
-  /// Exact evaluator for validation (null when not built).
-  std::shared_ptr<const RegionEvaluator> evaluator;
-  /// CV RMSE to declare in the provenance (NaN = not computed).
-  double cv_rmse = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// \brief One cache slot: a swappable surrogate plus the pending
@@ -120,9 +102,8 @@ class CachedSurrogate {
 
   /// Publishes the factory result and wakes waiters (single-flight).
   void Publish(TrainedSurrogate trained, uint64_t dataset_fingerprint);
-  void Fail(Status status);
-  /// Fails the entry like Fail(), additionally attaching the degraded
-  /// stale entry its waiters should be served instead of the error
+  /// Fails the entry and wakes waiters, attaching the degraded stale
+  /// entry they should be served instead of the error
   /// (stale-while-revalidate fallback). `fallback` may be null.
   void FailWithFallback(Status status, std::shared_ptr<CachedSurrogate> fallback);
   /// The degraded entry attached by FailWithFallback (null for plain
@@ -146,7 +127,6 @@ class CachedSurrogate {
   std::shared_ptr<const Surrogate> model_;
   std::shared_ptr<const Kde> kde_;
   std::shared_ptr<const RegionEvaluator> evaluator_;
-  RegionSolutionSpace space_;
   SurrogateProvenance provenance_;
 
   RegionWorkload pending_;

@@ -264,7 +264,7 @@ FindResult MineUnder(AccelBackend backend, const Dataset& ds) {
   options.shards = 2;  // route true-f evaluations through the mask kernels
   auto surf = Surf::Build(&ds, Statistic::Count({0, 1}), options);
   EXPECT_TRUE(surf.ok());
-  return surf->FindRegions(30.0, ThresholdDirection::kAbove);
+  return surf->FindRegions(30.0, ThresholdDirection::kAbove).value();
 }
 
 TEST(AccelEndToEndTest, MiningEnvelopeBitIdenticalGenericVsBestBackend) {

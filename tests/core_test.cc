@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "core/surf.h"
 #include "core/topk.h"
@@ -360,6 +361,34 @@ TEST(SurfTest, BuildValidatesInput) {
   EXPECT_FALSE(Surf::Build(&one_col, Statistic{}, options).ok());
 }
 
+TEST(SurfTest, RejectsWhatTheServiceRejects) {
+  const SyntheticDataset ds = DensityData(2, 1, 16);
+  SurfOptions options;
+  options.workload.num_queries = 0;
+  auto empty = Surf::Build(&ds.data, Statistic::Count({0, 1}), options);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty.status().message(),
+            "training.workload.num_queries must be >= 1");
+
+  options.workload.num_queries = 300;
+  options.finder.gso.max_iterations = 5;
+  auto surf = Surf::Build(&ds.data, Statistic::Count({0, 1}), options);
+  ASSERT_TRUE(surf.ok()) << surf.status().ToString();
+  for (const auto& [threshold, direction] :
+       {std::pair{std::nan(""), ThresholdDirection::kAbove},
+        std::pair{std::numeric_limits<double>::infinity(),
+                  ThresholdDirection::kBelow},
+        std::pair{-std::numeric_limits<double>::infinity(),
+                  ThresholdDirection::kAbove}}) {
+    auto found = surf->FindRegions(threshold, direction);
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(found.status().message(), "threshold must be finite");
+  }
+  EXPECT_TRUE(surf->FindRegions(500.0, ThresholdDirection::kAbove).ok());
+}
+
 TEST(SurfTest, EndToEndDensityMining) {
   const SyntheticDataset ds = DensityData(2, 1, 11);
   SurfOptions options;
@@ -370,7 +399,7 @@ TEST(SurfTest, EndToEndDensityMining) {
   ASSERT_TRUE(surf.ok());
 
   const FindResult result =
-      surf->FindRegions(1000.0, ThresholdDirection::kAbove);
+      surf->FindRegions(1000.0, ThresholdDirection::kAbove).value();
   ASSERT_FALSE(result.regions.empty());
   double best_iou = 0.0;
   for (const auto& r : result.regions) {
@@ -425,7 +454,7 @@ TEST(SurfTest, KdeCanBeDisabled) {
   auto surf = Surf::Build(&ds.data, Statistic::Count({0}), options);
   ASSERT_TRUE(surf.ok());
   const FindResult result =
-      surf->FindRegions(1000.0, ThresholdDirection::kAbove);
+      surf->FindRegions(1000.0, ThresholdDirection::kAbove).value();
   // Still functional without the Eq. 8 prior.
   EXPECT_FALSE(result.regions.empty());
 }
@@ -474,7 +503,7 @@ TEST(SurfTest, AggregateStatisticEndToEnd) {
       options);
   ASSERT_TRUE(surf.ok());
   const FindResult result =
-      surf->FindRegions(2.0, ThresholdDirection::kAbove);
+      surf->FindRegions(2.0, ThresholdDirection::kAbove).value();
   ASSERT_FALSE(result.regions.empty());
   double best_iou = 0.0;
   for (const auto& r : result.regions) {

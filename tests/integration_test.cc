@@ -167,7 +167,7 @@ TEST(IntegrationTest, MultimodalCaptureOfThreeRegions) {
   auto surf = Surf::Build(&ds.data, Statistic::Count({0}), options);
   ASSERT_TRUE(surf.ok());
   const FindResult result =
-      surf->FindRegions(1000.0, ThresholdDirection::kAbove);
+      surf->FindRegions(1000.0, ThresholdDirection::kAbove).value();
 
   // Every planted region must be matched by some proposal.
   size_t matched = 0;
@@ -195,7 +195,8 @@ TEST(IntegrationTest, CrimesComplianceIsHigh) {
 
   const Ecdf ecdf = surf->SampleStatisticEcdf(1000, 4);
   const FindResult result =
-      surf->FindRegions(ecdf.Quantile(0.75), ThresholdDirection::kAbove);
+      surf->FindRegions(ecdf.Quantile(0.75), ThresholdDirection::kAbove)
+          .value();
   ASSERT_FALSE(result.regions.empty());
   // Paper: 100 % of proposed regions complied; allow one slip.
   EXPECT_GE(result.report.true_compliance, 0.7);
@@ -222,7 +223,7 @@ TEST(IntegrationTest, ActivityRareRegionIsFound) {
   EXPECT_LT(ecdf.Exceedance(0.3), 0.2);
 
   const FindResult result =
-      surf->FindRegions(0.3, ThresholdDirection::kAbove);
+      surf->FindRegions(0.3, ThresholdDirection::kAbove).value();
   ASSERT_FALSE(result.regions.empty());
   EXPECT_GE(result.report.true_compliance, 0.5);
 }
@@ -308,7 +309,7 @@ TEST(IntegrationTest, HigherDimensionsDegradeGracefully) {
     auto surf = Surf::Build(&ds.data, Statistic::Count(cols), options);
     ASSERT_TRUE(surf.ok());
     const FindResult result =
-        surf->FindRegions(1000.0, ThresholdDirection::kAbove);
+        surf->FindRegions(1000.0, ThresholdDirection::kAbove).value();
     double best = 0.0;
     for (const auto& r : result.regions) {
       best = std::max(best, r.region.IoU(ds.gt_regions[0]));

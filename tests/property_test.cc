@@ -477,7 +477,7 @@ TEST_P(PipelineLawsTest, ReportedRegionsSatisfySurrogateConstraint) {
   ASSERT_TRUE(surf.ok());
   const double threshold = 1000.0;
   const FindResult result =
-      surf->FindRegions(threshold, ThresholdDirection::kAbove);
+      surf->FindRegions(threshold, ThresholdDirection::kAbove).value();
   for (const auto& r : result.regions) {
     EXPECT_GT(surf->surrogate().Predict(r.region), threshold);
     EXPECT_GT(r.estimate, threshold);

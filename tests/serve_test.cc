@@ -401,7 +401,7 @@ TEST_F(ServiceTest, WarmStartSwapServesConsistentResultsMidRetrain) {
   // mutated in place.
   std::atomic<bool> stop{false};
   Rng probe_rng(5);
-  const Region probe = before.space.Sample(&probe_rng);
+  const Region probe = before.surrogate->space().Sample(&probe_rng);
   const double before_value = before.surrogate->Predict(probe);
   std::vector<double> observed;
   std::thread reader([&] {
@@ -645,7 +645,8 @@ TEST(FacadeServiceAgreement, SameRecipeSameAnswerBitForBit) {
         ecdf.Quantile(recipe.direction == kUp ? 0.9 : 0.3);
 
     const FindResult lhs =
-        facade->FindRegions(request.query.threshold, recipe.direction);
+        facade->FindRegions(request.query.threshold, recipe.direction)
+            .value();
     const v2::MineResponse served = service.Mine(request);
     ASSERT_TRUE(served.status.ok()) << served.status.ToString();
     const FindResult& rhs = served.result;

@@ -210,25 +210,23 @@ FindResult MineWithLoadedModel(const CliFlags& flags, const Dataset& data,
       static_cast<size_t>(flags.GetInt("max-regions", 16));
   config.gso.max_iterations =
       static_cast<size_t>(flags.GetInt("iterations", 120));
-  // Same §V-G swarm sizing Surf::Build applies.
-  config.gso.num_glowworms = std::max(
-      config.gso.num_glowworms,
-      GsoParams::PaperScaled(surrogate.statistic().region_cols.size())
-          .num_glowworms);
-
-  SurfFinder finder(surrogate.AsStatisticFn(), surrogate.space(), config);
-  finder.SetBatchEstimate(surrogate.AsBatchStatisticFn());
 
   // Validate reported regions against the true statistic, and give the
-  // swarm the same KDE data prior Surf::Build fits (same 2000-sample cap
-  // as SurfOptions.kde_max_samples).
+  // swarm the KDE data prior Surf::Build fits (seed 6: the default
+  // workload seed 5, plus 1).
   const auto evaluator = MakeEvaluator(BackendKind::kGridIndex, &data,
                                        surrogate.statistic());
-  finder.SetValidator(evaluator.get());
-  const Kde kde =
-      FitDataKde(data, surrogate.statistic().region_cols, 2000, 6);
-  finder.SetKde(&kde);
-  return finder.Find(threshold, direction);
+  const Kde kde = FitDataKde(data, surrogate.statistic().region_cols,
+                             kKdeMaxSamples, 6);
+  SearchSpec spec;
+  spec.finder = &config;
+  spec.threshold = threshold;
+  spec.direction = direction;
+  spec.kde = &kde;
+  spec.validator = evaluator.get();
+  FindResult result;
+  RunSearch(surrogate, spec, &result, nullptr);
+  return result;
 }
 
 void PrintFindResult(const FindResult& result) {
@@ -251,6 +249,9 @@ void PrintFindResult(const FindResult& result) {
 int RunMine(const CliFlags& flags, const Dataset& data) {
   if (!flags.Has("threshold")) return Fail("--threshold is required");
   const double threshold = flags.GetDouble("threshold", 0.0);
+  if (Status valid = CheckThreshold(threshold); !valid.ok()) {
+    return Fail(valid.ToString());
+  }
   const ThresholdDirection direction =
       flags.GetString("direction", "above") == "below"
           ? ThresholdDirection::kBelow
@@ -264,18 +265,9 @@ int RunMine(const CliFlags& flags, const Dataset& data) {
     // indices must still exist in the supplied CSV.
     auto surrogate = Surrogate::Load(model_path);
     if (!surrogate.ok()) return Fail(surrogate.status().ToString());
-    const Statistic& stat = surrogate->statistic();
-    for (size_t c : stat.region_cols) {
-      if (c >= data.num_cols()) {
-        return Fail("model was trained on column index " +
-                    std::to_string(c) + " but --data has only " +
-                    std::to_string(data.num_cols()) + " columns");
-      }
-    }
-    if (stat.needs_value_column() &&
-        (stat.value_col < 0 ||
-         static_cast<size_t>(stat.value_col) >= data.num_cols())) {
-      return Fail("model's value column is out of range for --data");
+    if (Status columns = CheckStatisticColumns(data, surrogate->statistic());
+        !columns.ok()) {
+      return Fail(columns.ToString());
     }
     std::printf("loaded surrogate from %s\n", model_path.c_str());
     result =
@@ -291,7 +283,9 @@ int RunMine(const CliFlags& flags, const Dataset& data) {
         FormatDouble(surf->surrogate().metrics().test_rmse, 2).c_str(),
         surf->surrogate().metrics().num_train_examples,
         surf->surrogate().metrics().train_seconds);
-    result = surf->FindRegions(threshold, direction);
+    auto found = surf->FindRegions(threshold, direction);
+    if (!found.ok()) return Fail(found.status().ToString());
+    result = std::move(found).value();
   }
 
   PrintFindResult(result);
