@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -1900,6 +1902,120 @@ TEST(HttpServerTest, ThrowingHandlerAnswers500AndCounts) {
 
   server.Shutdown();
   EXPECT_EQ(server.stats().worker_exceptions, 1u);
+}
+
+// -------------------------------------------------- segmentation replay
+
+/// Head and body limits the wire corpus is written against.
+constexpr size_t kCorpusMaxHead = 1024;
+constexpr size_t kCorpusMaxBody = 4096;
+
+/// One corpus entry: the bytes a client sends and the status it gets.
+/// Every entry is decided at its last byte (a complete request, or the
+/// byte that makes it an error), so a server must answer it the same
+/// however the bytes are cut into segments.
+struct WireEntry {
+  std::string name;
+  std::string bytes;
+  int status = 0;
+};
+
+std::vector<WireEntry> WireCorpus() {
+  const std::string mine =
+      "{\"api_version\": 2, \"dataset\": \"points\", \"query\": "
+      "{\"statistic\": {\"kind\": \"count\", \"region_cols\": [\"x\", "
+      "\"y\"]}, \"threshold\": 2000}}";
+  const std::string head = "GET /x HTTP/1.1\r\nX-Pad: ";
+  return {
+      {"mine", RawRequest("POST", "/v1/mine", {{"Connection", "close"}}, mine),
+       200},
+      {"get", "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200},
+      {"pipelined",
+       RawRequest("GET", "/first", {}) +
+           RawRequest("POST", "/second", {{"Connection", "close"}}, "xy"),
+       200},
+      {"bad_request_line", "GET /x\r\nHost: 127.0.0.1\r\n\r\n", 400},
+      {"body_too_large", "POST /x HTTP/1.1\r\nContent-Length: 5000\r\n\r\n",
+       413},
+      // One byte past the head limit, with no blank line yet.
+      {"head_too_large",
+       head + std::string(kCorpusMaxHead + 1 - head.size(), 'p'), 431},
+      {"chunked", "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+       501},
+  };
+}
+
+/// Sends `bytes` cut at the offsets in `cuts` (TCP_NODELAY, a short pause
+/// between segments) and returns every byte the server writes until it
+/// closes the connection.
+std::string SegmentedExchange(uint16_t port, const std::string& bytes,
+                              const std::vector<size_t>& cuts) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string received;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    size_t from = 0;
+    std::vector<size_t> ends = cuts;
+    ends.push_back(bytes.size());
+    for (const size_t to : ends) {
+      if (to > from && ::send(fd, bytes.data() + from, to - from,
+                              MSG_NOSIGNAL) != static_cast<ssize_t>(to - from)) {
+        break;
+      }
+      from = to;
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      received.append(chunk, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return received;
+}
+
+// Aim 3's replay contract over a live server: each corpus entry sent in
+// one piece and sent at 20 seeded random split points must draw the same
+// response bytes.
+TEST(HttpServerTest, SegmentedRequestsDrawTheSameResponseBytes) {
+  HttpServer::Options options;
+  options.num_workers = 1;
+  options.max_header_bytes = kCorpusMaxHead;
+  options.max_body_bytes = kCorpusMaxBody;
+  HttpServer server(options, [](const HttpRequest& request) {
+    HttpResponse echo;
+    echo.body = request.method + " " + request.target + " " + request.body;
+    return echo;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::mt19937_64 rng(25);
+  for (const WireEntry& entry : WireCorpus()) {
+    SCOPED_TRACE(entry.name);
+    const std::string whole = SegmentedExchange(server.port(), entry.bytes, {});
+    ASSERT_EQ(whole.rfind("HTTP/1.1 " + std::to_string(entry.status) + " ", 0),
+              0u)
+        << whole;
+    for (int trial = 0; trial < 3; ++trial) {
+      std::uniform_int_distribution<size_t> pick(1, entry.bytes.size() - 1);
+      std::set<size_t> cut_set;
+      while (cut_set.size() < 20) cut_set.insert(pick(rng));
+      const std::vector<size_t> cuts(cut_set.begin(), cut_set.end());
+      EXPECT_EQ(SegmentedExchange(server.port(), entry.bytes, cuts), whole)
+          << "trial " << trial;
+    }
+  }
+  server.Shutdown();
 }
 
 }  // namespace
