@@ -91,26 +91,14 @@ class BenchClient {
       sent += static_cast<size_t>(n);
     }
     std::string buffer;
-    size_t head_end = std::string::npos;
-    while ((head_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-      if (!Fill(&buffer)) {
-        return buffer.empty() ? RequestOutcome::kClosedCleanly
-                              : RequestOutcome::kPartial;
-      }
-    }
-    *status = std::atoi(buffer.substr(9, 3).c_str());
-    size_t content_length = 0;
-    const size_t cl = buffer.find("Content-Length: ");
-    if (cl != std::string::npos && cl < head_end) {
-      content_length = static_cast<size_t>(
-          std::atoll(buffer.c_str() + cl + std::strlen("Content-Length: ")));
-    }
-    std::string payload = buffer.substr(head_end + 4);
-    while (payload.size() < content_length) {
-      if (!Fill(&payload)) return RequestOutcome::kPartial;
-    }
-    *body = payload.substr(0, content_length);
-    return RequestOutcome::kComplete;
+    HttpHeaders headers;
+    const http::ReadResult read = http::ReadResponse(
+        &buffer, [this](std::string* out) { return Fill(out); }, status,
+        &headers, body);
+    if (read == http::ReadResult::kComplete) return RequestOutcome::kComplete;
+    return read == http::ReadResult::kEndedBeforeHead && buffer.empty()
+               ? RequestOutcome::kClosedCleanly
+               : RequestOutcome::kPartial;
   }
 
   void Close() {
@@ -133,21 +121,16 @@ class BenchClient {
 };
 
 std::string WireRequest(const std::string& path, const std::string& body) {
-  return "POST " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: " +
-         std::to_string(body.size()) + "\r\n\r\n" + body;
+  return http::SerializeRequest("POST", path, {{"Host", "127.0.0.1"}}, body);
 }
 
 /// A wire request carrying QoS headers (tenant / scheduling class).
-std::string WireRequestWithHeaders(
-    const std::string& path, const std::string& body,
-    const std::vector<std::pair<std::string, std::string>>& headers) {
-  std::string wire = "POST " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  for (const auto& [name, value] : headers) {
-    wire += name + ": " + value + "\r\n";
-  }
-  wire += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-  wire += body;
-  return wire;
+std::string WireRequestWithHeaders(const std::string& path,
+                                   const std::string& body,
+                                   const HttpHeaders& headers) {
+  HttpHeaders fields = {{"Host", "127.0.0.1"}};
+  fields.insert(fields.end(), headers.begin(), headers.end());
+  return http::SerializeRequest("POST", path, fields, body);
 }
 
 double PercentileMs(std::vector<double>* latencies_ms, double q) {
@@ -553,9 +536,8 @@ int main(int argc, char** argv) {
 
     // Let the search get going, then cancel.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const std::string cancel_wire = "DELETE /v1/jobs/" + job_id +
-                                    " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                                    "Content-Length: 0\r\n\r\n";
+    const std::string cancel_wire = http::SerializeRequest(
+        "DELETE", "/v1/jobs/" + job_id, {{"Host", "127.0.0.1"}}, "");
     if (client.Request(cancel_wire, &status, &body) !=
             RequestOutcome::kComplete ||
         status != 200) {
@@ -565,9 +547,8 @@ int main(int argc, char** argv) {
     }
 
     // Poll until the job reaches its terminal state.
-    const std::string poll_wire = "GET /v1/jobs/" + job_id +
-                                  " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                                  "Content-Length: 0\r\n\r\n";
+    const std::string poll_wire = http::SerializeRequest(
+        "GET", "/v1/jobs/" + job_id, {{"Host", "127.0.0.1"}}, "");
     bool cancelled_status = false;
     for (int i = 0; i < 2000; ++i) {
       if (client.Request(poll_wire, &status, &body) !=

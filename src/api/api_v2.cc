@@ -46,11 +46,7 @@ Status ValidateAndNormalize(MineRequest* request) {
   if (request->execution.shards == 0) {
     request->execution.shards = 1;  // normalize "unset" to the v1 default
   }
-  if (request->execution.shards > kMaxExecutionShards) {
-    return Status::InvalidArgument(
-        "execution.shards must be <= " + std::to_string(kMaxExecutionShards));
-  }
-  return Status::OK();
+  return CheckShards(request->execution.shards);
 }
 
 }  // namespace v2

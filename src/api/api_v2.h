@@ -37,13 +37,6 @@
 namespace surf {
 namespace v2 {
 
-/// Upper bound on ExecutionPolicy::shards (beyond this, per-shard
-/// pruning metadata outweighs any realistic scan win). Identical to
-/// the clamp ShardedDataset::Partition enforces at the allocation
-/// site: validation rejects loudly, the data layer stays bounded even
-/// for callers that bypass validation.
-inline constexpr size_t kMaxExecutionShards = ShardingOptions::kMaxShards;
-
 /// \brief Query formulation of the v2 surface.
 enum class QueryKind {
   /// Regions whose statistic crosses a threshold (paper Problem 1).

@@ -171,6 +171,14 @@ Status CheckWorkload(const WorkloadParams& workload) {
                    "training.workload.num_queries must be >= 1");
 }
 
+Status CheckShards(size_t shards) {
+  return shards <= ShardingOptions::kMaxShards
+             ? Status::OK()
+             : Status::InvalidArgument(
+                   "execution.shards must be <= " +
+                   std::to_string(ShardingOptions::kMaxShards));
+}
+
 StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
                            const SurfOptions& options) {
   if (data == nullptr || data->num_rows() == 0) {
@@ -178,6 +186,7 @@ StatusOr<Surf> Surf::Build(const Dataset* data, Statistic statistic,
   }
   SURF_RETURN_IF_ERROR(CheckStatisticColumns(*data, statistic));
   SURF_RETURN_IF_ERROR(CheckWorkload(options.workload));
+  SURF_RETURN_IF_ERROR(CheckShards(options.shards));
   auto trained = TrainSurrogate(
       MakeEvaluator(options.backend, data, statistic, options.shards), *data,
       statistic, options.workload, options.surrogate);

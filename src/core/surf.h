@@ -46,8 +46,9 @@ struct SurfOptions {
   BackendKind backend = BackendKind::kGridIndex;
   /// Row-range shards for the exact back-end. 1 (the default, and the
   /// v1 API's implied value) keeps the single `backend` evaluator;
-  /// >= 2 switches to the shard-parallel scan backend partitioned on
-  /// the first region column (see MakeEvaluator).
+  /// 2..4096 switches to the shard-parallel scan backend partitioned on
+  /// the first region column (see MakeEvaluator); Build rejects more
+  /// (CheckShards).
   size_t shards = 1;
   /// Guide the search with the KDE data prior (Eq. 8; always fitted).
   bool fit_kde = true;
@@ -193,6 +194,12 @@ Status CheckTopK(const TopKConfig& topk);
 
 /// Rejects a training workload of zero queries (InvalidArgument).
 Status CheckWorkload(const WorkloadParams& workload);
+
+/// Rejects more row-range shards than ShardedDataset::Partition builds
+/// (ShardingOptions::kMaxShards; beyond it, per-shard pruning metadata
+/// outweighs any scan win) instead of letting Partition clamp silently
+/// (InvalidArgument).
+Status CheckShards(size_t shards);
 
 }  // namespace surf
 

@@ -8,10 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+
+#include "net/http_wire.h"
 
 namespace surf {
 namespace dist {
@@ -89,38 +90,6 @@ Status SendWithin(int fd, const std::string& data, Clock::time_point deadline,
   return Status::OK();
 }
 
-/// Parses the status line and the Content-Length header out of a
-/// complete header section (everything before the blank line).
-bool ParseHead(const std::string& head, int* status_code,
-               size_t* content_length, bool* has_length) {
-  // "HTTP/1.1 200 OK"
-  if (head.size() < 12 || head.compare(0, 5, "HTTP/") != 0) return false;
-  *status_code = std::atoi(head.substr(9, 3).c_str());
-  if (*status_code < 100) return false;
-  *has_length = false;
-  *content_length = 0;
-  size_t line_start = head.find("\r\n");
-  while (line_start != std::string::npos && line_start + 2 < head.size()) {
-    line_start += 2;
-    size_t line_end = head.find("\r\n", line_start);
-    if (line_end == std::string::npos) line_end = head.size();
-    std::string line = head.substr(line_start, line_end - line_start);
-    const size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      std::string name = line.substr(0, colon);
-      for (char& c : name) c = static_cast<char>(std::tolower(c));
-      if (name == "content-length") {
-        size_t vs = colon + 1;
-        while (vs < line.size() && line[vs] == ' ') ++vs;
-        *content_length = static_cast<size_t>(std::atoll(line.c_str() + vs));
-        *has_length = true;
-      }
-    }
-    line_start = line_end;
-  }
-  return true;
-}
-
 }  // namespace
 
 Status ParseEndpoint(const std::string& endpoint, std::string* host,
@@ -172,59 +141,45 @@ StatusOr<HttpReply> HttpCall(const std::string& host, uint16_t port,
 
   SURF_RETURN_IF_ERROR(ConnectWithin(sock.fd, addr, deadline, cancel));
 
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: " + host + "\r\n";
-  request += "Connection: close\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-  request += body;
+  const std::string request = http::SerializeRequest(
+      method, target, {{"Host", host}, {"Connection", "close"}}, body);
   SURF_RETURN_IF_ERROR(SendWithin(sock.fd, request, deadline, cancel));
 
+  // One recv per call, waiting in cancel-checking slices; false at EOF
+  // or on a failure, which `io` keeps.
+  Status io;
+  auto fill = [&](std::string* buffer) {
+    char chunk[16384];
+    while (true) {
+      const ssize_t n = ::recv(sock.fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        buffer->append(chunk, static_cast<size_t>(n));
+        return true;
+      }
+      if (n == 0) return false;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        io = AwaitReady(sock.fd, POLLIN, deadline, cancel);
+        if (!io.ok()) return false;
+        continue;
+      }
+      if (errno == EINTR) continue;
+      io = Status::IOError("recv failed: " + std::string(strerror(errno)));
+      return false;
+    }
+  };
   std::string buffer;
-  size_t head_end = std::string::npos;
-  int status_code = 0;
-  size_t content_length = 0;
-  bool has_length = false;
-  char chunk[16384];
-  while (true) {
-    const ssize_t n = ::recv(sock.fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer.append(chunk, static_cast<size_t>(n));
-      if (head_end == std::string::npos) {
-        head_end = buffer.find("\r\n\r\n");
-        if (head_end != std::string::npos &&
-            !ParseHead(buffer.substr(0, head_end), &status_code,
-                       &content_length, &has_length)) {
-          return Status::IOError("malformed response from worker");
-        }
-      }
-      if (head_end != std::string::npos && has_length &&
-          buffer.size() >= head_end + 4 + content_length) {
-        break;  // full framed body in hand
-      }
-      continue;
-    }
-    if (n == 0) break;  // peer closed — Connection: close framing
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      SURF_RETURN_IF_ERROR(AwaitReady(sock.fd, POLLIN, deadline, cancel));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return Status::IOError("recv failed: " + std::string(strerror(errno)));
-  }
-
-  if (head_end == std::string::npos) {
-    return Status::IOError("connection closed before response headers");
-  }
+  HttpHeaders headers;
   HttpReply reply;
-  reply.status_code = status_code;
-  reply.body = buffer.substr(head_end + 4);
-  if (has_length) {
-    if (reply.body.size() < content_length) {
-      return Status::IOError("connection closed mid-body");
-    }
-    reply.body.resize(content_length);
+  const http::ReadResult read = http::ReadResponse(
+      &buffer, fill, &reply.status_code, &headers, &reply.body);
+  SURF_RETURN_IF_ERROR(io);
+  if (read == http::ReadResult::kComplete) return reply;
+  if (read == http::ReadResult::kMalformed) {
+    return Status::IOError("malformed response from worker");
   }
-  return reply;
+  return Status::IOError(read == http::ReadResult::kEndedBeforeHead
+                             ? "connection closed before response headers"
+                             : "connection closed mid-body");
 }
 
 }  // namespace dist

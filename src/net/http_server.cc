@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -14,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
 
 #include "util/failpoint.h"
 #include "util/json.h"
@@ -27,10 +25,6 @@ namespace surf {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Polling granularity for the blocking SendAll() helper: the unit at
-/// which a blocked write re-checks its deadline.
-constexpr int kPollSliceMs = 20;
 
 /// epoll user-data ids for the two non-connection fds the loop owns.
 constexpr uint64_t kListenerId = 0;
@@ -49,21 +43,6 @@ Clock::time_point DeadlineAfter(double seconds) {
                             std::chrono::duration<double>(seconds));
 }
 
-bool Expired(Clock::time_point deadline) { return Clock::now() >= deadline; }
-
-/// Waits up to one poll slice (bounded by `deadline`) for `events`.
-bool PollSlice(int fd, short events, Clock::time_point deadline) {
-  const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  const int timeout_ms = static_cast<int>(
-      std::clamp<long long>(remaining.count(), 0, kPollSliceMs));
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = events;
-  pfd.revents = 0;
-  return ::poll(&pfd, 1, timeout_ms) > 0;
-}
-
 std::string LowerAscii(const std::string& s) {
   std::string out = s;
   for (char& c : out) {
@@ -72,103 +51,7 @@ std::string LowerAscii(const std::string& s) {
   return out;
 }
 
-/// Serializes a response into the exact wire bytes the server has
-/// always produced (status line, the three standard headers, extras,
-/// blank line, body).
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
-  std::string out;
-  out.reserve(response.body.size() + 256);
-  out.append("HTTP/1.1 ");
-  out.append(std::to_string(response.status_code));
-  out.push_back(' ');
-  out.append(HttpReasonPhrase(response.status_code));
-  out.append("\r\nContent-Type: ");
-  out.append(response.content_type);
-  out.append("\r\nContent-Length: ");
-  out.append(std::to_string(response.body.size()));
-  out.append("\r\nConnection: ");
-  out.append(keep_alive ? "keep-alive" : "close");
-  for (const auto& [name, value] : response.headers) {
-    out.append("\r\n");
-    out.append(name);
-    out.append(": ");
-    out.append(value);
-  }
-  out.append("\r\n\r\n");
-  out.append(response.body);
-  return out;
-}
-
-/// Parses the header section (request line + fields, no trailing CRLF
-/// CRLF). Returns an HTTP status code: 0 on success, else the error code
-/// to answer with.
-int ParseRequestHead(const std::string& head, HttpRequest* request) {
-  size_t line_end = head.find("\r\n");
-  const std::string request_line =
-      line_end == std::string::npos ? head : head.substr(0, line_end);
-  const std::vector<std::string> parts = SplitString(request_line, ' ');
-  if (parts.size() != 3) return 400;
-  request->method = parts[0];
-  request->target = parts[1];
-  if (!StartsWith(parts[2], "HTTP/1.")) return 400;
-
-  size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
-  while (pos < head.size()) {
-    size_t next = head.find("\r\n", pos);
-    if (next == std::string::npos) next = head.size();
-    const std::string line = head.substr(pos, next - pos);
-    pos = next + 2;
-    if (line.empty()) continue;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) return 400;
-    std::string name = TrimString(line.substr(0, colon));
-    // A field line with an empty name (": value") is malformed; older
-    // versions quietly accepted it as a header named "".
-    if (name.empty()) return 400;
-    request->headers.emplace_back(LowerAscii(name),
-                                  TrimString(line.substr(colon + 1)));
-  }
-  return 0;
-}
-
 }  // namespace
-
-double HttpRequest::RemainingSeconds() const {
-  if (deadline == Clock::time_point::max()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double remaining =
-      std::chrono::duration<double>(deadline - Clock::now()).count();
-  return remaining > 0.0 ? remaining : 0.0;
-}
-
-const std::string* HttpRequest::FindHeader(const std::string& name) const {
-  for (const auto& h : headers) {
-    if (h.first == name) return &h.second;
-  }
-  return nullptr;
-}
-
-const char* HttpReasonPhrase(int status_code) {
-  switch (status_code) {
-    case 200: return "OK";
-    case 201: return "Created";
-    case 204: return "No Content";
-    case 400: return "Bad Request";
-    case 404: return "Not Found";
-    case 405: return "Method Not Allowed";
-    case 408: return "Request Timeout";
-    case 409: return "Conflict";
-    case 412: return "Precondition Failed";
-    case 413: return "Payload Too Large";
-    case 429: return "Too Many Requests";
-    case 431: return "Request Header Fields Too Large";
-    case 500: return "Internal Server Error";
-    case 501: return "Not Implemented";
-    case 503: return "Service Unavailable";
-    default: return "Unknown";
-  }
-}
 
 HttpResponse JsonErrorResponse(int status_code, const std::string& code,
                                const std::string& message) {
@@ -183,31 +66,28 @@ HttpResponse JsonErrorResponse(int status_code, const std::string& code,
   return response;
 }
 
-bool SendAll(int fd, const char* data, size_t size, double timeout_seconds) {
-  // A delay action here stalls the write (slow-client simulation); an
-  // error action drops the response as if the peer vanished mid-write.
-  if (!MaybeFailpoint("net.write").ok()) return false;
-  const auto deadline = DeadlineAfter(timeout_seconds);
-  size_t sent = 0;
-  while (sent < size) {
-    if (Expired(deadline)) return false;
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) return false;  // should not happen; treat as a dead peer
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Kernel buffer full (tiny SO_SNDBUF, slow reader): wait for
-      // writability in bounded slices so the deadline stays live.
-      PollSlice(fd, POLLOUT, deadline);
-      continue;
-    }
-    return false;  // hard send error (ECONNRESET, EPIPE, ...)
+namespace {
+
+/// The answer to a request the wire module cannot frame.
+HttpResponse WireErrorResponse(http::WireError error) {
+  switch (error) {
+    case http::WireError::kHeadTooLarge:
+      return JsonErrorResponse(431, "headers_too_large",
+                               "header section exceeds limit");
+    case http::WireError::kTransferEncoding:
+      return JsonErrorResponse(501, "unsupported",
+                               "chunked transfer encoding not supported");
+    case http::WireError::kBadLength:
+      return JsonErrorResponse(400, "bad_request", "invalid Content-Length");
+    case http::WireError::kBodyTooLarge:
+      return JsonErrorResponse(413, "payload_too_large",
+                               "request body exceeds limit");
+    default:
+      return JsonErrorResponse(400, "bad_request", "malformed HTTP request");
   }
-  return true;
 }
+
+}  // namespace
 
 /// \brief Per-connection state owned exclusively by the event loop.
 struct HttpServer::Connection {
@@ -229,7 +109,7 @@ struct HttpServer::Connection {
   bool saw_request_byte = false;  ///< Mid-request (deadline running).
   bool peer_eof = false;
   bool head_parsed = false;
-  size_t head_end = 0;        ///< Offset of "\r\n\r\n" once head parsed.
+  size_t head_bytes = 0;      ///< Head size once parsed.
   size_t content_length = 0;  ///< Declared body size once head parsed.
   bool close_after_write = false;
   bool linger_on_close = false;  ///< Error path: drain before closing.
@@ -530,60 +410,23 @@ void HttpServer::ProcessInput(Connection* conn) {
     }
 
     if (!c->head_parsed) {
-      c->head_end = c->in.find("\r\n\r\n");
-      if (c->head_end == std::string::npos) {
-        if (c->in.size() > options_.max_header_bytes) {
-          ErrorClose(c,
-                     JsonErrorResponse(431, "headers_too_large",
-                                       "header section exceeds limit"),
-                     &Stats::parse_errors);
-          return;
-        }
+      const http::Framing framing =
+          http::ParseRequestHead(c->in, options_.max_header_bytes,
+                                 options_.max_body_bytes, &c->request);
+      if (framing.state == http::Framing::State::kNeedMore) {
         if (c->peer_eof) CloseConnection(c);  // EOF mid-head
         return;                               // need more bytes
       }
-      c->request = HttpRequest();
-      const int parse_code =
-          ParseRequestHead(c->in.substr(0, c->head_end), &c->request);
-      if (parse_code != 0) {
-        ErrorClose(c,
-                   JsonErrorResponse(parse_code, "bad_request",
-                                     "malformed HTTP request"),
-                   &Stats::parse_errors);
+      if (framing.state == http::Framing::State::kError) {
+        ErrorClose(c, WireErrorResponse(framing.error), &Stats::parse_errors);
         return;
       }
-      if (c->request.FindHeader("transfer-encoding") != nullptr) {
-        ErrorClose(
-            c,
-            JsonErrorResponse(501, "unsupported",
-                              "chunked transfer encoding not supported"),
-            &Stats::parse_errors);
-        return;
-      }
-      c->content_length = 0;
-      if (const std::string* cl = c->request.FindHeader("content-length")) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-        if (end == cl->c_str() || *end != '\0') {
-          ErrorClose(c,
-                     JsonErrorResponse(400, "bad_request",
-                                       "invalid Content-Length"),
-                     &Stats::parse_errors);
-          return;
-        }
-        c->content_length = static_cast<size_t>(v);
-      }
-      if (c->content_length > options_.max_body_bytes) {
-        ErrorClose(c,
-                   JsonErrorResponse(413, "payload_too_large",
-                                     "request body exceeds limit"),
-                   &Stats::parse_errors);
-        return;
-      }
+      c->head_bytes = framing.head_bytes;
+      c->content_length = framing.body_bytes;
       c->head_parsed = true;
     }
 
-    const size_t total = c->head_end + 4 + c->content_length;
+    const size_t total = c->head_bytes + c->content_length;
     if (c->in.size() < total) {
       if (c->peer_eof) CloseConnection(c);  // EOF mid-body
       return;                               // need more bytes
@@ -592,7 +435,7 @@ void HttpServer::ProcessInput(Connection* conn) {
     // One complete request: consume exactly its bytes. Surplus bytes
     // (HTTP pipelining) stay in the buffer and are parsed after this
     // request's response flushes — their deadline starts then.
-    c->request.body = c->in.substr(c->head_end + 4, c->content_length);
+    c->request.body = c->in.substr(c->head_bytes, c->content_length);
     c->in.erase(0, total);
     c->request.deadline = c->request_deadline;
     c->saw_request_byte = false;
@@ -664,7 +507,8 @@ void HttpServer::DispatchRequest(Connection* conn) {
     const bool keep_alive =
         !client_close && !draining_.load(std::memory_order_acquire);
     conn->count_served_on_flush = false;
-    StartWrite(conn, SerializeResponse(limited, keep_alive), keep_alive);
+    StartWrite(conn, http::SerializeResponse(limited, keep_alive),
+               keep_alive);
     return;
   }
 
@@ -717,7 +561,7 @@ void HttpServer::DispatchRequest(Connection* conn) {
     if (!MaybeFailpoint("net.write").ok()) {
       done.drop = true;
     } else {
-      done.bytes = SerializeResponse(response, done.keep_alive);
+      done.bytes = http::SerializeResponse(response, done.keep_alive);
     }
     PushCompletion(std::move(done));
   };
@@ -733,7 +577,7 @@ void HttpServer::DispatchRequest(Connection* conn) {
     HttpResponse shed_response = JsonErrorResponse(
         503, "overloaded_shed", "request shed under load; retry later");
     shed_response.headers.emplace_back("Retry-After", "1");
-    done.bytes = SerializeResponse(shed_response, done.keep_alive);
+    done.bytes = http::SerializeResponse(shed_response, done.keep_alive);
     PushCompletion(std::move(done));
   };
   scheduler_->Submit(std::move(job));
@@ -779,7 +623,8 @@ void HttpServer::ErrorClose(Connection* conn, const HttpResponse& response,
   conn->linger_on_close = true;
   conn->count_served_on_flush = false;
   conn->batch_on_flush = false;
-  StartWrite(conn, SerializeResponse(response, false), /*keep_alive=*/false);
+  StartWrite(conn, http::SerializeResponse(response, false),
+             /*keep_alive=*/false);
 }
 
 void HttpServer::StartWrite(Connection* conn, std::string bytes,

@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/http_wire.h"
 #include "sched/priority_scheduler.h"
 #include "sched/tenant_governor.h"
 #include "sched/timer_wheel.h"
@@ -46,60 +47,10 @@
 
 namespace surf {
 
-/// \brief One parsed HTTP request.
-struct HttpRequest {
-  /// Upper-case request method ("GET", "POST", ...).
-  std::string method;
-  /// Request target as sent (path, no scheme/authority), e.g. "/v1/mine".
-  std::string target;
-  /// Header fields with lower-cased names, in arrival order.
-  std::vector<std::pair<std::string, std::string>> headers;
-  /// Request body (Content-Length framing; chunked is not accepted).
-  std::string body;
-  /// The transport's per-request deadline (started at the request's first
-  /// byte). Handlers serving long-running work thread the remaining
-  /// budget into a CancelSource so an expired deadline reclaims the
-  /// worker's CPU instead of stranding it (max() = no deadline, e.g. for
-  /// handlers invoked outside the server).
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  /// Seconds until `deadline` (clamped at 0); +inf when no deadline.
-  double RemainingSeconds() const;
-
-  /// Value of the first header named `name` (lower-case), or null.
-  const std::string* FindHeader(const std::string& name) const;
-};
-
-/// \brief One HTTP response produced by a handler.
-struct HttpResponse {
-  /// HTTP status code (200, 404, ...).
-  int status_code = 200;
-  /// Content-Type header value.
-  std::string content_type = "application/json";
-  /// Extra response headers (name, value) emitted verbatim after the
-  /// standard ones — e.g. {"Retry-After", "5"} on 429/503 answers.
-  std::vector<std::pair<std::string, std::string>> headers;
-  /// Response body.
-  std::string body;
-};
-
 /// Builds a JSON error response `{"error": {"code": ..., "message": ...}}`
 /// with the given HTTP status.
 HttpResponse JsonErrorResponse(int status_code, const std::string& code,
                                const std::string& message);
-
-/// The standard reason phrase for a status code ("OK", "Not Found", ...).
-const char* HttpReasonPhrase(int status_code);
-
-/// Sends all `size` bytes of `data` on `fd` within `timeout_seconds`,
-/// absorbing partial writes, EINTR, and EAGAIN/EWOULDBLOCK (waiting for
-/// writability in bounded poll slices). Returns false on any hard send
-/// error or when the timeout expires before the last byte is accepted.
-/// Exposed for the transport tests and blocking clients (the dist
-/// worker RPC path); the server's own responses go through the event
-/// loop's nonblocking write state machine instead.
-bool SendAll(int fd, const char* data, size_t size, double timeout_seconds);
 
 /// \brief Application callback: one request in, one response out.
 /// Invoked concurrently from worker threads; must be thread-safe.

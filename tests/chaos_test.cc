@@ -46,14 +46,11 @@ struct ChaosResponse {
   /// net.write failpoint dropped it).
   int status = 0;
   std::string body;
-  /// Lower-cased header name -> value (first occurrence).
-  std::vector<std::pair<std::string, std::string>> headers;
+  /// Header fields, names lower-cased.
+  HttpHeaders headers;
 
   const std::string* FindHeader(const std::string& name) const {
-    for (const auto& [key, value] : headers) {
-      if (key == name) return &value;
-    }
-    return nullptr;
+    return surf::FindHeader(headers, name);
   }
 };
 
@@ -84,10 +81,8 @@ class ChaosClient {
 
   ChaosResponse Request(const std::string& method, const std::string& path,
                         const std::string& body = "") {
-    std::string out = method + " " + path + " HTTP/1.1\r\n";
-    out += "Host: 127.0.0.1\r\n";
-    out += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-    out += body;
+    const std::string out =
+        http::SerializeRequest(method, path, {{"Host", "127.0.0.1"}}, body);
     size_t sent = 0;
     while (sent < out.size()) {
       const ssize_t n = ::send(fd_, out.data() + sent, out.size() - sent,
@@ -107,44 +102,14 @@ class ChaosClient {
 
  private:
   ChaosResponse ReadResponse() {
-    std::string buffer;
-    size_t head_end = std::string::npos;
-    while (true) {
-      head_end = buffer.find("\r\n\r\n");
-      if (head_end != std::string::npos) break;
-      if (!Fill(&buffer)) return {};
-    }
     ChaosResponse response;
-    const std::string head = buffer.substr(0, head_end);
-    if (head.size() >= 12) {
-      response.status = std::atoi(head.substr(9, 3).c_str());
+    std::string buffer;
+    if (http::ReadResponse(
+            &buffer, [this](std::string* out) { return Fill(out); },
+            &response.status, &response.headers,
+            &response.body) != http::ReadResult::kComplete) {
+      return {};
     }
-    size_t content_length = 0;
-    size_t line_start = head.find("\r\n");
-    while (line_start != std::string::npos && line_start + 2 < head.size()) {
-      line_start += 2;
-      size_t line_end = head.find("\r\n", line_start);
-      if (line_end == std::string::npos) line_end = head.size();
-      const std::string line = head.substr(line_start, line_end - line_start);
-      const size_t colon = line.find(':');
-      if (colon != std::string::npos) {
-        std::string name = line.substr(0, colon);
-        for (char& c : name) c = static_cast<char>(std::tolower(c));
-        size_t vs = colon + 1;
-        while (vs < line.size() && line[vs] == ' ') ++vs;
-        response.headers.emplace_back(name, line.substr(vs));
-        if (name == "content-length") {
-          content_length =
-              static_cast<size_t>(std::atoll(line.c_str() + vs));
-        }
-      }
-      line_start = line_end;
-    }
-    std::string body = buffer.substr(head_end + 4);
-    while (body.size() < content_length) {
-      if (!Fill(&body)) return {};
-    }
-    response.body = body.substr(0, content_length);
     return response;
   }
 

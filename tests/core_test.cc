@@ -372,6 +372,13 @@ TEST(SurfTest, RejectsWhatTheServiceRejects) {
             "training.workload.num_queries must be >= 1");
 
   options.workload.num_queries = 300;
+  options.shards = 4097;
+  auto oversharded = Surf::Build(&ds.data, Statistic::Count({0, 1}), options);
+  ASSERT_FALSE(oversharded.ok());
+  EXPECT_EQ(oversharded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oversharded.status().message(), "execution.shards must be <= 4096");
+
+  options.shards = 1;
   options.finder.gso.max_iterations = 5;
   auto surf = Surf::Build(&ds.data, Statistic::Count({0, 1}), options);
   ASSERT_TRUE(surf.ok()) << surf.status().ToString();

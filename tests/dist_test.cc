@@ -9,6 +9,11 @@
 // non-retriable), and mid-scatter cancellation (empty-prefix contract,
 // connections released for the next batch).
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/sharded.h"
@@ -32,6 +38,7 @@
 #include "stats/sharded_evaluator.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
+#include "util/retry.h"
 #include "util/rng.h"
 
 namespace surf {
@@ -402,6 +409,96 @@ TEST(ShardEvaluateEndpointTest, RejectsUnknownDatasetAndBadShards) {
       WriteJson(ShardEvaluateRequestToJson(request)), 10.0, CancelToken());
   ASSERT_TRUE(bad_col.ok()) << bad_col.status().ToString();
   EXPECT_EQ(bad_col->status_code, 400);
+}
+
+/// A fake worker: accepts one connection on a loopback port, reads one
+/// whole request, answers with `response` verbatim and closes.
+class CannedWorker {
+ public:
+  explicit CannedWorker(std::string response)
+      : response_(std::move(response)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ::listen(listen_fd_, 1);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~CannedWorker() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string request;
+    char chunk[4096];
+    while (http::FrameRequest(request, 1 << 16, 1 << 20).state ==
+           http::Framing::State::kNeedMore) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      request.append(chunk, static_cast<size_t>(n));
+    }
+    ::send(fd, response_.data(), response_.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  }
+
+  std::string response_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+StatusOr<dist::HttpReply> CallCanned(const std::string& response) {
+  CannedWorker worker(response);
+  return dist::HttpGet("127.0.0.1", worker.port(), "/healthz", 10.0,
+                       CancelToken());
+}
+
+// The client frames a worker's answer by the server's own rule: a status
+// line with exactly three digits, Content-Length as 1*DIGIT, and several
+// Content-Length fields only when they agree. Anything else is a
+// malformed response, which the pool treats as a retriable transport
+// failure (shard groups re-home as they do for a dead worker).
+TEST(DistHttpClientTest, MalformedResponseFramingIsAnIOError) {
+  const std::vector<std::string> malformed = {
+      "HTTP/1.1 200 OK\r\nContent-Length: 2abc\r\n\r\n{}",
+      "HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+      "HTTP/1.1 2000 OK\r\nContent-Length: 2\r\n\r\n{}",
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n"
+      "{}xy",
+  };
+  for (const std::string& response : malformed) {
+    SCOPED_TRACE(response);
+    const auto reply = CallCanned(response);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().ToString(),
+              "IOError: malformed response from worker");
+    EXPECT_TRUE(IsRetriableStatus(reply.status()));
+  }
+
+  // Agreeing fields frame the body; without Content-Length it runs to
+  // the close.
+  auto agreeing = CallCanned(
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n"
+      "{}xy");
+  ASSERT_TRUE(agreeing.ok()) << agreeing.status().ToString();
+  EXPECT_EQ(agreeing->status_code, 200);
+  EXPECT_EQ(agreeing->body, "{}");
+  auto to_close = CallCanned("HTTP/1.1 404 Not Found\r\n\r\n{}xy");
+  ASSERT_TRUE(to_close.ok()) << to_close.status().ToString();
+  EXPECT_EQ(to_close->status_code, 404);
+  EXPECT_EQ(to_close->body, "{}xy");
 }
 
 }  // namespace

@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -48,8 +50,17 @@ struct ClientResponse {
   bool connection_close = false;
 };
 
-/// Minimal blocking HTTP/1.1 client for loopback tests (keep-alive,
-/// Content-Length framing only — mirroring what the server emits).
+/// A request as the test clients send it: Host, then `headers`.
+std::string RawRequest(const std::string& method, const std::string& path,
+                       const HttpHeaders& headers,
+                       const std::string& body = "") {
+  HttpHeaders fields = {{"Host", "127.0.0.1"}};
+  fields.insert(fields.end(), headers.begin(), headers.end());
+  return http::SerializeRequest(method, path, fields, body);
+}
+
+/// Minimal blocking keep-alive HTTP/1.1 client for loopback tests; the
+/// wire module frames what it sends and reads.
 class TestClient {
  public:
   ~TestClient() { Close(); }
@@ -87,46 +98,24 @@ class TestClient {
   /// Sends one request and reads one full response.
   ClientResponse Request(const std::string& method, const std::string& path,
                          const std::string& body = "") {
-    std::string out = method + " " + path + " HTTP/1.1\r\n";
-    out += "Host: 127.0.0.1\r\n";
-    out += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-    out += body;
-    if (!SendRaw(out)) return {};
+    if (!SendRaw(RawRequest(method, path, {}, body))) return {};
     return ReadResponse();
   }
 
   ClientResponse ReadResponse() {
-    // Start from any bytes left over by the previous response: with
+    // pending_ holds any bytes left over by the previous response: with
     // pipelining, one recv can carry the tail of several responses.
-    std::string buffer = std::move(pending_);
-    pending_.clear();
-    size_t head_end = std::string::npos;
-    while (true) {
-      head_end = buffer.find("\r\n\r\n");
-      if (head_end != std::string::npos) break;
-      if (!Fill(&buffer)) return {};
-    }
     ClientResponse response;
-    // Status line: HTTP/1.1 NNN Reason
-    if (buffer.size() >= 12) {
-      response.status = std::atoi(buffer.substr(9, 3).c_str());
+    HttpHeaders headers;
+    if (http::ReadResponse(
+            &pending_, [this](std::string* buffer) { return Fill(buffer); },
+            &response.status, &headers,
+            &response.body) != http::ReadResult::kComplete) {
+      pending_.clear();
+      return {};
     }
-    response.connection_close =
-        buffer.substr(0, head_end).find("Connection: close") !=
-        std::string::npos;
-    size_t content_length = 0;
-    const std::string head = buffer.substr(0, head_end);
-    const size_t cl = head.find("Content-Length: ");
-    if (cl != std::string::npos) {
-      content_length = static_cast<size_t>(
-          std::atoll(head.c_str() + cl + std::strlen("Content-Length: ")));
-    }
-    std::string body = buffer.substr(head_end + 4);
-    while (body.size() < content_length) {
-      if (!Fill(&body)) return {};
-    }
-    response.body = body.substr(0, content_length);
-    pending_ = body.substr(content_length);  // next response's bytes
+    const std::string* connection = FindHeader(headers, "connection");
+    response.connection_close = connection != nullptr && *connection == "close";
     return response;
   }
 
@@ -1041,21 +1030,6 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsPerConnection) {
 
 // --------------------------------- ISSUE 10: event loop + QoS transport
 
-/// A raw HTTP/1.1 request with caller-chosen extra headers (the plain
-/// TestClient::Request has no header hook).
-std::string RawRequest(
-    const std::string& method, const std::string& path,
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    const std::string& body = "") {
-  std::string out = method + " " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  for (const auto& [name, value] : headers) {
-    out += name + ": " + value + "\r\n";
-  }
-  out += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
-  out += body;
-  return out;
-}
-
 TEST(HttpServerTest, RejectFloodDoesNotStallAccept) {
   // Regression for the thread-per-connection accept path: 429 rejection
   // writes used to happen synchronously on the acceptor thread, so a
@@ -1207,6 +1181,54 @@ TEST(HttpServerTest, MalformedHeaderEmptyNameAnswers400) {
   server.Shutdown();
   EXPECT_EQ(handled.load(), 0) << "malformed request reached the handler";
   EXPECT_EQ(server.stats().parse_errors, 2u);
+}
+
+// RFC 9112 §6.3: Content-Length is 1*DIGIT, and several fields must
+// agree, or the framing is unrecoverable (the disagreement request
+// smuggling exploits). The cluster client applies the same rule.
+TEST(HttpServerTest, ContentLengthMustBeDigitsAndAgree) {
+  HttpServer::Options options;
+  options.num_workers = 1;
+  std::atomic<int> handled{0};
+  HttpServer server(options, [&](const HttpRequest& request) {
+    handled.fetch_add(1);
+    HttpResponse echo;
+    echo.body = request.body;
+    return echo;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  for (const std::string lengths :
+       {"Content-Length: +5\r\n", "Content-Length: -1\r\n",
+        "Content-Length: 3\r\nContent-Length: 5\r\n"}) {
+    SCOPED_TRACE(lengths);
+    TestClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    ASSERT_TRUE(
+        client.SendRaw("POST /x HTTP/1.1\r\n" + lengths + "\r\nhello"));
+    const ClientResponse response = client.ReadResponse();
+    EXPECT_EQ(response.status, 400);
+    auto body = ParseJson(response.body);
+    ASSERT_TRUE(body.ok()) << response.body;
+    EXPECT_EQ(body->Find("error")->Find("code")->string_value(),
+              "bad_request");
+    EXPECT_EQ(body->Find("error")->Find("message")->string_value(),
+              "invalid Content-Length");
+  }
+
+  // Equal fields frame the body they agree on.
+  TestClient agreeing;
+  ASSERT_TRUE(agreeing.Connect(server.port()));
+  ASSERT_TRUE(agreeing.SendRaw(
+      "POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\n"
+      "hello"));
+  const ClientResponse response = agreeing.ReadResponse();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "hello");
+
+  server.Shutdown();
+  EXPECT_EQ(handled.load(), 1);
+  EXPECT_EQ(server.stats().parse_errors, 3u);
 }
 
 TEST(HttpServerTest, TenantConcurrencyQuotaAnswers429AndRecovers) {
@@ -1802,75 +1824,145 @@ TEST(SurfHandlerTest, BlockingMineDeadlineCancelsAndAnswers408) {
 
 // ------------------------------------------------------- send-path tests
 
-// Regression for the hardened send path: a non-blocking socket with a
-// tiny SO_SNDBUF and a slow reader forces partial writes and
-// EAGAIN/EWOULDBLOCK on nearly every send(2) call; SendAll must still
-// deliver every byte in order.
-TEST(HttpServerTest, SendAllSurvivesTinySendBufferAndSlowReader) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const int sndbuf = 4096;
-  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-  const int flags = ::fcntl(fds[0], F_GETFL, 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK), 0);
+/// A loopback client socket with a tiny receive buffer (set before
+/// connect, so the advertised window stays small); -1 on failure.
+int ConnectTinyReceiver(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
-  // 1 MiB of recognizable bytes through a ~4 KiB pipe.
+/// Polls `done` for up to `seconds`; returns its last value.
+bool WaitFor(const std::function<bool()>& done, double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(static_cast<int>(seconds * 1e3));
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+// The event loop's nonblocking writer (StartWrite/ContinueWrite) against
+// a reader with a tiny receive buffer that drains slowly: the send path
+// meets partial writes and EAGAIN on nearly every send(2), and a 1 MiB
+// response must still arrive whole and in order.
+TEST(HttpServerTest, LargeResponseReachesTinySlowReaderWhole) {
   std::string payload(1 << 20, '\0');
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>('a' + (i % 23));
   }
-
-  std::string received;
-  std::thread reader([&] {
-    char chunk[8192];
-    while (received.size() < payload.size()) {
-      const ssize_t n = ::recv(fds[1], chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      received.append(chunk, static_cast<size_t>(n));
-      // Slow drain so the sender keeps filling the tiny buffer.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+  HttpServer::Options options;
+  options.num_workers = 1;
+  HttpServer server(options, [&](const HttpRequest&) {
+    HttpResponse response;
+    response.body = payload;
+    return response;
   });
+  ASSERT_TRUE(server.Start().ok());
 
-  EXPECT_TRUE(SendAll(fds[0], payload.data(), payload.size(), 30.0));
-  ::shutdown(fds[0], SHUT_WR);
-  reader.join();
-  EXPECT_EQ(received, payload);
-  ::close(fds[0]);
-  ::close(fds[1]);
+  const int fd = ConnectTinyReceiver(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string request = RawRequest("GET", "/big", {});
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string buffer, body;
+  int status = 0;
+  HttpHeaders headers;
+  const auto slow_fill = [fd](std::string* out) {
+    // Slow drain so the server keeps filling the tiny window.
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    char chunk[8192];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    out->append(chunk, static_cast<size_t>(n));
+    return true;
+  };
+  EXPECT_EQ(http::ReadResponse(&buffer, slow_fill, &status, &headers, &body),
+            http::ReadResult::kComplete);
+  EXPECT_EQ(status, 200);
+  EXPECT_TRUE(body == payload) << "body of " << body.size() << " bytes differs";
+  ::close(fd);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().requests_served, 1u);
+  EXPECT_EQ(server.stats().write_failures, 0u);
 }
 
-// A peer that is gone must fail the send, not crash the process
-// (historically SIGPIPE) or spin.
-TEST(HttpServerTest, SendAllFailsCleanlyOnClosedPeer) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  ::close(fds[1]);
-  const std::string payload(1 << 16, 'x');
-  EXPECT_FALSE(SendAll(fds[0], payload.data(), payload.size(), 5.0));
-  ::close(fds[0]);
+// A peer that is gone must fail the write and drop the connection, not
+// crash the process (SIGPIPE) or spin; the server keeps serving.
+TEST(HttpServerTest, WriteToClosedPeerFailsCleanly) {
+  std::atomic<bool> peer_closed{false};
+  HttpServer::Options options;
+  options.num_workers = 1;
+  HttpServer server(options, [&](const HttpRequest& request) {
+    HttpResponse response;
+    if (request.target == "/big") {
+      WaitFor([&] { return peer_closed.load(); }, 10.0);
+      response.body.assign(8 << 20, 'x');  // beyond any socket buffer
+    }
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient gone;
+  ASSERT_TRUE(gone.Connect(server.port()));
+  ASSERT_TRUE(gone.SendRaw(RawRequest("GET", "/big", {})));
+  WaitFor([&] { return server.stats().inflight == 1; }, 10.0);
+  gone.Close();
+  peer_closed.store(true);
+  EXPECT_TRUE(
+      WaitFor([&] { return server.stats().write_failures == 1; }, 10.0));
+
+  TestClient next;
+  ASSERT_TRUE(next.Connect(server.port()));
+  EXPECT_EQ(next.Request("GET", "/small").status, 200);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().write_failures, 1u);
 }
 
-// An expired budget bounds a stalled send: the reader never drains, so
-// SendAll must give up once the deadline passes instead of blocking
-// forever on a full buffer.
-TEST(HttpServerTest, SendAllHonoursDeadlineAgainstStalledReader) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const int sndbuf = 4096;
-  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-  const int flags = ::fcntl(fds[0], F_GETFL, 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK), 0);
-  const std::string payload(1 << 22, 'x');  // far beyond the buffer
+// The write deadline bounds a stalled reader: the peer never drains, so
+// the writer must give up once the deadline passes instead of holding
+// the connection forever on a full buffer.
+TEST(HttpServerTest, WriteDeadlineDropsStalledReader) {
+  HttpServer::Options options;
+  options.num_workers = 1;
+  options.request_deadline_seconds = 0.3;
+  HttpServer server(options, [](const HttpRequest&) {
+    HttpResponse response;
+    response.body.assign(8 << 20, 'x');  // beyond any socket buffer
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ConnectTinyReceiver(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string request = RawRequest("GET", "/big", {});
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
   const auto started = std::chrono::steady_clock::now();
-  EXPECT_FALSE(SendAll(fds[0], payload.data(), payload.size(), 0.3));
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  EXPECT_LT(elapsed, 5.0);
-  ::close(fds[0]);
-  ::close(fds[1]);
+  EXPECT_TRUE(
+      WaitFor([&] { return server.stats().write_failures == 1; }, 5.0));
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          started)
+                .count(),
+            5.0);
+  EXPECT_TRUE(WaitFor([&] { return server.stats().connections_open == 0; },
+                      5.0));
+  ::close(fd);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().requests_served, 0u);
 }
 
 // A handler that throws must be answered 500 and counted — never
@@ -1942,6 +2034,12 @@ std::vector<WireEntry> WireCorpus() {
        head + std::string(kCorpusMaxHead + 1 - head.size(), 'p'), 431},
       {"chunked", "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
        501},
+      {"length_sign", "POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n", 400},
+      {"length_negative", "POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+       400},
+      {"length_conflict",
+       "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\n",
+       400},
   };
 }
 
@@ -2016,6 +2114,126 @@ TEST(HttpServerTest, SegmentedRequestsDrawTheSameResponseBytes) {
     }
   }
   server.Shutdown();
+}
+
+/// The status surfd answers a framing verdict with.
+int VerdictStatus(const http::Framing& framing) {
+  switch (framing.error) {
+    case http::WireError::kNone: return 200;
+    case http::WireError::kHeadTooLarge: return 431;
+    case http::WireError::kTransferEncoding: return 501;
+    case http::WireError::kBodyTooLarge: return 413;
+    default: return 400;
+  }
+}
+
+/// Asserts `frame` (a pure framing call) never changes its mind as bytes
+/// arrive: on every prefix of `bytes` it answers need-more or exactly its
+/// verdict on the whole, and need-more only before the deciding byte.
+/// Checks every prefix, or `samples` random ones when nonzero.
+void ExpectPrefixStable(
+    const std::string& bytes,
+    const std::function<http::Framing(std::string_view)>& frame,
+    size_t samples = 0, std::mt19937_64* rng = nullptr) {
+  const http::Framing whole = frame(bytes);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= bytes.size(); ++n) lengths.push_back(n);
+  if (samples > 0) {
+    std::shuffle(lengths.begin(), lengths.end(), *rng);
+    lengths.resize(std::min(samples, lengths.size()));
+  }
+  for (const size_t n : lengths) {
+    const http::Framing prefix = frame(std::string_view(bytes).substr(0, n));
+    if (prefix.state == http::Framing::State::kNeedMore) {
+      if (whole.state == http::Framing::State::kReady) {
+        EXPECT_LT(n, whole.size()) << "need-more after the message ended";
+      }
+      continue;
+    }
+    EXPECT_EQ(prefix.state, whole.state) << "prefix " << n;
+    EXPECT_EQ(prefix.error, whole.error) << "prefix " << n;
+    EXPECT_EQ(prefix.size(), whole.size()) << "prefix " << n;
+  }
+}
+
+http::Framing FrameCorpusRequest(std::string_view bytes) {
+  return http::FrameRequest(bytes, kCorpusMaxHead, kCorpusMaxBody);
+}
+
+// The pure framing call over every prefix of every corpus entry: need-more
+// until the entry's deciding byte, then the verdict of the whole entry,
+// which is the status the live server answers.
+TEST(HttpWireTest, EveryPrefixFramesAsTheWholeEntry) {
+  for (const WireEntry& entry : WireCorpus()) {
+    SCOPED_TRACE(entry.name);
+    const http::Framing whole = FrameCorpusRequest(entry.bytes);
+    ASSERT_NE(whole.state, http::Framing::State::kNeedMore);
+    EXPECT_EQ(VerdictStatus(whole), entry.status);
+    const size_t decided = whole.state == http::Framing::State::kReady
+                               ? whole.size()
+                               : entry.bytes.size();
+    EXPECT_EQ(FrameCorpusRequest(std::string_view(entry.bytes)
+                                     .substr(0, decided - 1))
+                  .state,
+              http::Framing::State::kNeedMore);
+    ExpectPrefixStable(entry.bytes, FrameCorpusRequest);
+  }
+}
+
+// Seeded byte mutations of the corpus, requests and responses alike (the
+// stand-in for a fuzz target; net_test runs under ASan/UBSan in CI). Each
+// mutant must frame without fault and stay prefix-stable.
+TEST(HttpWireTest, SeededMutationsStayPrefixStable) {
+  std::vector<std::string> requests;
+  for (const WireEntry& entry : WireCorpus()) requests.push_back(entry.bytes);
+  HttpResponse limited = JsonErrorResponse(429, "overloaded", "retry");
+  limited.headers.emplace_back("Retry-After", "1");
+  HttpResponse ok;
+  ok.body = "{\"regions\": []}";
+  const std::vector<std::string> responses = {
+      http::SerializeResponse(ok, true),
+      http::SerializeResponse(limited, false),
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+      "HTTP/1.1 404 Not Found\r\n\r\n{}"};
+  const auto frame_response = [](std::string_view bytes) {
+    int status = 0;
+    HttpHeaders headers;
+    return http::ParseResponseHead(bytes, &status, &headers);
+  };
+
+  static constexpr char kSignificant[] = "\r\n: 0123456789+-HTtp/.";
+  std::mt19937_64 rng(25);
+  for (int i = 0; i < 1000; ++i) {
+    const bool response = i % 4 == 3;
+    const auto& corpus = response ? responses : requests;
+    std::string bytes = corpus[rng() % corpus.size()];
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = rng() % (bytes.size() + 1);
+      switch (rng() % 4) {
+        case 0:
+          if (at < bytes.size()) bytes[at] = static_cast<char>(rng());
+          break;
+        case 1:
+          bytes.insert(at, 1, kSignificant[rng() % (sizeof(kSignificant) - 1)]);
+          break;
+        case 2:
+          bytes.erase(std::min(at, bytes.size()), 1 + rng() % 8);
+          break;
+        default:
+          if (!bytes.empty()) {
+            bytes.insert(at, bytes.substr(rng() % bytes.size(), 1 + rng() % 16));
+          }
+          break;
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    if (response) {
+      ExpectPrefixStable(bytes, frame_response, 16, &rng);
+    } else {
+      ExpectPrefixStable(bytes, FrameCorpusRequest, 16, &rng);
+    }
+  }
 }
 
 }  // namespace

@@ -246,16 +246,24 @@ void PrintFindResult(const FindResult& result) {
   std::printf("%s", table.ToString().c_str());
 }
 
+/// `--direction` / `direction=`: "above" or "below"; anything else is a
+/// usage error, not a silent "above".
+StatusOr<ThresholdDirection> ParseDirection(const std::string& text) {
+  if (text == "above") return ThresholdDirection::kAbove;
+  if (text == "below") return ThresholdDirection::kBelow;
+  return Status::InvalidArgument("direction must be above or below, got '" +
+                                 text + "'");
+}
+
 int RunMine(const CliFlags& flags, const Dataset& data) {
   if (!flags.Has("threshold")) return Fail("--threshold is required");
   const double threshold = flags.GetDouble("threshold", 0.0);
   if (Status valid = CheckThreshold(threshold); !valid.ok()) {
     return Fail(valid.ToString());
   }
-  const ThresholdDirection direction =
-      flags.GetString("direction", "above") == "below"
-          ? ThresholdDirection::kBelow
-          : ThresholdDirection::kAbove;
+  const auto parsed = ParseDirection(flags.GetString("direction", "above"));
+  if (!parsed.ok()) return Fail(parsed.status().ToString());
+  const ThresholdDirection direction = *parsed;
 
   FindResult result;
   const std::string model_path = flags.GetString("model", "");
@@ -389,9 +397,9 @@ StatusOr<v2::MineRequest> ParseMineLine(const MiningService& service,
           "mine line needs threshold= (or topk=)");
     }
     request.query.threshold = args.GetDouble("threshold", 0.0);
-    request.query.direction = args.Get("direction", "above") == "below"
-                                  ? ThresholdDirection::kBelow
-                                  : ThresholdDirection::kAbove;
+    auto direction = ParseDirection(args.Get("direction", "above"));
+    if (!direction.ok()) return direction.status();
+    request.query.direction = *direction;
     FinderConfig& finder = request.search.finder;
     finder.c = args.GetDouble("c", 4.0);
     finder.max_regions = static_cast<size_t>(args.GetInt("max-regions", 16));
