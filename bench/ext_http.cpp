@@ -92,13 +92,14 @@ class BenchClient {
     }
     std::string buffer;
     HttpHeaders headers;
-    const http::ReadResult read = http::ReadResponse(
-        &buffer, [this](std::string* out) { return Fill(out); }, status,
-        &headers, body);
-    if (read == http::ReadResult::kComplete) return RequestOutcome::kComplete;
-    return read == http::ReadResult::kEndedBeforeHead && buffer.empty()
-               ? RequestOutcome::kClosedCleanly
-               : RequestOutcome::kPartial;
+    if (http::ReadResponse(&buffer,
+                           [this](std::string* out) { return Fill(out); },
+                           status, &headers, body)
+            .ok()) {
+      return RequestOutcome::kComplete;
+    }
+    return buffer.empty() ? RequestOutcome::kClosedCleanly
+                          : RequestOutcome::kPartial;
   }
 
   void Close() {

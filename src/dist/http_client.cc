@@ -157,29 +157,22 @@ StatusOr<HttpReply> HttpCall(const std::string& host, uint16_t port,
         return true;
       }
       if (n == 0) return false;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        io = AwaitReady(sock.fd, POLLIN, deadline, cancel);
-        if (!io.ok()) return false;
-        continue;
-      }
       if (errno == EINTR) continue;
-      io = Status::IOError("recv failed: " + std::string(strerror(errno)));
-      return false;
+      io = errno == EAGAIN || errno == EWOULDBLOCK
+               ? AwaitReady(sock.fd, POLLIN, deadline, cancel)
+               : Status::IOError("recv failed: " +
+                                 std::string(strerror(errno)));
+      if (!io.ok()) return false;
     }
   };
   std::string buffer;
   HttpHeaders headers;
   HttpReply reply;
-  const http::ReadResult read = http::ReadResponse(
-      &buffer, fill, &reply.status_code, &headers, &reply.body);
+  const Status read = http::ReadResponse(&buffer, fill, &reply.status_code,
+                                         &headers, &reply.body);
   SURF_RETURN_IF_ERROR(io);
-  if (read == http::ReadResult::kComplete) return reply;
-  if (read == http::ReadResult::kMalformed) {
-    return Status::IOError("malformed response from worker");
-  }
-  return Status::IOError(read == http::ReadResult::kEndedBeforeHead
-                             ? "connection closed before response headers"
-                             : "connection closed mid-body");
+  if (!read.ok()) return Status::IOError(read.message() + " from worker");
+  return reply;
 }
 
 }  // namespace dist

@@ -47,23 +47,6 @@ StatusOr<HttpReply> HttpCall(const std::string& host, uint16_t port,
                              const std::string& body, double timeout_seconds,
                              const CancelToken& cancel);
 
-/// POST convenience over HttpCall.
-inline StatusOr<HttpReply> HttpPost(const std::string& host, uint16_t port,
-                                    const std::string& target,
-                                    const std::string& body,
-                                    double timeout_seconds,
-                                    const CancelToken& cancel) {
-  return HttpCall(host, port, "POST", target, body, timeout_seconds, cancel);
-}
-
-/// GET convenience over HttpCall.
-inline StatusOr<HttpReply> HttpGet(const std::string& host, uint16_t port,
-                                   const std::string& target,
-                                   double timeout_seconds,
-                                   const CancelToken& cancel) {
-  return HttpCall(host, port, "GET", target, "", timeout_seconds, cancel);
-}
-
 }  // namespace dist
 }  // namespace surf
 

@@ -54,8 +54,8 @@ size_t WorkerPool::ProbeUnhealthy(const CancelToken& cancel) {
       ++healthy;
       continue;
     }
-    auto reply = HttpGet(worker->host, worker->port, "/healthz",
-                         kProbeTimeoutSeconds, cancel);
+    auto reply = HttpCall(worker->host, worker->port, "GET", "/healthz", "",
+                          kProbeTimeoutSeconds, cancel);
     if (reply.ok() && reply->status_code == 200) {
       worker->healthy.store(true, std::memory_order_relaxed);
       ++healthy;
@@ -80,7 +80,7 @@ StatusOr<std::string> WorkerPool::Post(size_t i, const std::string& target,
                                        const CancelToken& cancel) {
   Worker* worker = workers_[i].get();
   const auto started = std::chrono::steady_clock::now();
-  auto reply = HttpPost(worker->host, worker->port, target, body,
+  auto reply = HttpCall(worker->host, worker->port, "POST", target, body,
                         rpc_timeout_seconds_, cancel);
   if (!reply.ok()) {
     // Transport-level failure (refused, reset, timed out): the member is
@@ -105,14 +105,8 @@ StatusOr<std::string> WorkerPool::Post(size_t i, const std::string& target,
 }
 
 void WorkerPool::RecordLatency(Worker* worker, double seconds) {
-  size_t bucket = kWorkerLatencyBucketBounds.size();
-  for (size_t b = 0; b < kWorkerLatencyBucketBounds.size(); ++b) {
-    if (seconds <= kWorkerLatencyBucketBounds[b]) {
-      bucket = b;
-      break;
-    }
-  }
-  worker->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  worker->buckets[ServerMetrics::LatencyBucket(seconds)].fetch_add(
+      1, std::memory_order_relaxed);
   worker->latency_sum_ns.fetch_add(
       static_cast<uint64_t>(seconds * 1e9), std::memory_order_relaxed);
   worker->latency_count.fetch_add(1, std::memory_order_relaxed);

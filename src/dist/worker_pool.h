@@ -21,32 +21,19 @@
 #include <string>
 #include <vector>
 
+#include "net/metrics.h"
 #include "util/cancel.h"
 #include "util/status.h"
 
 namespace surf {
 namespace dist {
 
-/// Upper bounds (seconds) of the per-worker RPC latency histogram —
-/// identical to ServerMetrics::kLatencyBucketsSeconds so the
-/// surf_dist_worker_request_seconds exposition shares bucket boundaries
-/// with the server-side histograms (implicit final bucket: +Inf).
-inline constexpr std::array<double, 14> kWorkerLatencyBucketBounds = {
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
-
 /// \brief Static worker membership + health + latency telemetry.
 class WorkerPool {
  public:
-  /// \brief Telemetry snapshot of one worker, for /metrics.
-  struct WorkerFigures {
-    std::string endpoint;
-    bool healthy = true;
-    /// Raw (non-cumulative) bucket counts; last slot = +Inf.
-    std::array<uint64_t, kWorkerLatencyBucketBounds.size() + 1> buckets{};
-    double latency_sum_seconds = 0.0;
-    uint64_t latency_count = 0;
-  };
+  /// \brief Telemetry snapshot of one worker: the figures /metrics
+  /// renders, with the server-side histograms' bucket bounds.
+  using WorkerFigures = ServerMetrics::ServiceFigures::DistWorkerFigures;
 
   /// \brief Pool-level telemetry snapshot.
   struct Figures {
@@ -116,7 +103,7 @@ class WorkerPool {
     uint16_t port = 0;
     std::atomic<bool> healthy{true};
     std::array<std::atomic<uint64_t>,
-               kWorkerLatencyBucketBounds.size() + 1>
+               ServerMetrics::kLatencyBucketsSeconds.size() + 1>
         buckets{};
     std::atomic<uint64_t> latency_sum_ns{0};
     std::atomic<uint64_t> latency_count{0};

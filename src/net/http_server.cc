@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,7 +18,6 @@
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace surf {
@@ -43,14 +43,6 @@ Clock::time_point DeadlineAfter(double seconds) {
                             std::chrono::duration<double>(seconds));
 }
 
-std::string LowerAscii(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
 }  // namespace
 
 HttpResponse JsonErrorResponse(int status_code, const std::string& code,
@@ -65,29 +57,6 @@ HttpResponse JsonErrorResponse(int status_code, const std::string& code,
   response.body = WriteJson(body) + "\n";
   return response;
 }
-
-namespace {
-
-/// The answer to a request the wire module cannot frame.
-HttpResponse WireErrorResponse(http::WireError error) {
-  switch (error) {
-    case http::WireError::kHeadTooLarge:
-      return JsonErrorResponse(431, "headers_too_large",
-                               "header section exceeds limit");
-    case http::WireError::kTransferEncoding:
-      return JsonErrorResponse(501, "unsupported",
-                               "chunked transfer encoding not supported");
-    case http::WireError::kBadLength:
-      return JsonErrorResponse(400, "bad_request", "invalid Content-Length");
-    case http::WireError::kBodyTooLarge:
-      return JsonErrorResponse(413, "payload_too_large",
-                               "request body exceeds limit");
-    default:
-      return JsonErrorResponse(400, "bad_request", "malformed HTTP request");
-  }
-}
-
-}  // namespace
 
 /// \brief Per-connection state owned exclusively by the event loop.
 struct HttpServer::Connection {
@@ -108,8 +77,7 @@ struct HttpServer::Connection {
   bool registered = false;  ///< fd present in the epoll set.
   bool saw_request_byte = false;  ///< Mid-request (deadline running).
   bool peer_eof = false;
-  bool head_parsed = false;
-  size_t head_bytes = 0;      ///< Head size once parsed.
+  size_t head_bytes = 0;      ///< Head size once parsed (0 = not yet).
   size_t content_length = 0;  ///< Declared body size once head parsed.
   bool close_after_write = false;
   bool linger_on_close = false;  ///< Error path: drain before closing.
@@ -134,6 +102,12 @@ Status HttpServer::Start() {
   }
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Every failure from here on closes the listener first.
+  const auto fail = [this](Status status) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return status;
+  };
 
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -141,24 +115,18 @@ Status HttpServer::Start() {
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("invalid bind address '" +
-                                   options_.bind_address + "'");
+    return fail(Status::InvalidArgument("invalid bind address '" +
+                                        options_.bind_address + "'"));
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("bind " + options_.bind_address + ":" +
-                           std::to_string(options_.port) + ": " + err);
+    return fail(Status::IOError("bind " + options_.bind_address + ":" +
+                                std::to_string(options_.port) + ": " +
+                                std::strerror(errno)));
   }
   if (::listen(listen_fd_, options_.accept_backlog) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("listen: " + err);
+    return fail(Status::IOError(std::string("listen: ") +
+                                std::strerror(errno)));
   }
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
@@ -170,13 +138,12 @@ Status HttpServer::Start() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    const std::string err = std::strerror(errno);
+    const Status error =
+        Status::IOError(std::string("epoll/eventfd: ") + std::strerror(errno));
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
     if (wake_fd_ >= 0) ::close(wake_fd_);
     epoll_fd_ = wake_fd_ = -1;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("epoll/eventfd: " + err);
+    return fail(error);
   }
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -231,11 +198,6 @@ void HttpServer::Shutdown() {
 HttpServer::Stats HttpServer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-sched::PriorityScheduler::Stats HttpServer::scheduler_stats() const {
-  return scheduler_ != nullptr ? scheduler_->stats()
-                               : sched::PriorityScheduler::Stats{};
 }
 
 void HttpServer::WakeLoop() {
@@ -409,21 +371,23 @@ void HttpServer::ProcessInput(Connection* conn) {
       wheel_->Arm(c->id, c->request_deadline);
     }
 
-    if (!c->head_parsed) {
+    if (c->head_bytes == 0) {
       const http::Framing framing =
           http::ParseRequestHead(c->in, options_.max_header_bytes,
                                  options_.max_body_bytes, &c->request);
-      if (framing.state == http::Framing::State::kNeedMore) {
+      if (framing.need_more()) {
         if (c->peer_eof) CloseConnection(c);  // EOF mid-head
         return;                               // need more bytes
       }
-      if (framing.state == http::Framing::State::kError) {
-        ErrorClose(c, WireErrorResponse(framing.error), &Stats::parse_errors);
+      if (const http::WireError* error = framing.error) {
+        ErrorClose(c,
+                   JsonErrorResponse(error->status, error->code,
+                                     error->message),
+                   &Stats::parse_errors);
         return;
       }
       c->head_bytes = framing.head_bytes;
       c->content_length = framing.body_bytes;
-      c->head_parsed = true;
     }
 
     const size_t total = c->head_bytes + c->content_length;
@@ -439,7 +403,7 @@ void HttpServer::ProcessInput(Connection* conn) {
     c->in.erase(0, total);
     c->request.deadline = c->request_deadline;
     c->saw_request_byte = false;
-    c->head_parsed = false;
+    c->head_bytes = 0;
     wheel_->Disarm(c->id);
     DispatchRequest(c);
     // If the dispatch answered synchronously (QoS rejection flushed in
@@ -452,8 +416,8 @@ void HttpServer::DispatchRequest(Connection* conn) {
   conn->request = HttpRequest();
 
   bool client_close = false;
-  if (const std::string* h = request.FindHeader("connection")) {
-    if (LowerAscii(*h) == "close") client_close = true;
+  if (const std::string* h = FindHeader(request.headers, "connection")) {
+    if (::strcasecmp(h->c_str(), "close") == 0) client_close = true;
   }
 
   // Global admission control over concurrently dispatched *requests*.
@@ -482,7 +446,8 @@ void HttpServer::DispatchRequest(Connection* conn) {
   // Per-tenant QoS. Throttled/over-quota answers keep the connection
   // alive: the client's next request may be within budget.
   std::string tenant = "default";
-  if (const std::string* h = request.FindHeader(options_.tenant_header)) {
+  if (const std::string* h =
+          FindHeader(request.headers, options_.tenant_header)) {
     if (!h->empty()) tenant = *h;
   }
   const auto decision = governor_->Admit(tenant, Clock::now());
@@ -513,8 +478,9 @@ void HttpServer::DispatchRequest(Connection* conn) {
   }
 
   bool is_batch = false;
-  if (const std::string* h = request.FindHeader(options_.priority_header)) {
-    if (LowerAscii(TrimString(*h)) == "batch") is_batch = true;
+  if (const std::string* h =
+          FindHeader(request.headers, options_.priority_header)) {
+    if (::strcasecmp(h->c_str(), "batch") == 0) is_batch = true;
   }
 
   conn->state = Connection::State::kDispatched;
@@ -707,7 +673,7 @@ void HttpServer::OnTimer(uint64_t id) {
       }
       ErrorClose(conn,
                  JsonErrorResponse(408, "deadline_exceeded",
-                                   conn->head_parsed
+                                   conn->head_bytes > 0
                                        ? "request body not received in time"
                                        : "request not received in time"),
                  &Stats::request_timeouts);

@@ -152,9 +152,6 @@ class HttpServer {
   /// in-flight request to completion, then return. Idempotent.
   void Shutdown();
 
-  /// Whether Start() succeeded and Shutdown() has not completed.
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
   /// The bound port (the kernel-chosen one when Options::port was 0).
   uint16_t port() const { return port_; }
 
@@ -171,12 +168,6 @@ class HttpServer {
 
   /// Transport counter snapshot.
   Stats stats() const;
-
-  /// Scheduler counter snapshot (zeroed before Start()).
-  sched::PriorityScheduler::Stats scheduler_stats() const;
-
-  /// The configuration the server runs with.
-  const Options& options() const { return options_; }
 
  private:
   struct Connection;

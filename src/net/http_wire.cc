@@ -3,33 +3,37 @@
 #include <cctype>
 #include <limits>
 
+#include "util/string_util.h"
+
 namespace surf {
+namespace http {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-using http::Framing;
-using http::WireError;
+constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
-std::string_view Trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+/// `1*DIGIT`; a value past SIZE_MAX saturates there, which no limit admits.
+bool ParseDigits(std::string_view text, size_t* value) {
+  *value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const size_t digit = static_cast<size_t>(c - '0');
+    *value = *value > (kNoLimit - digit) / 10 ? kNoLimit : *value * 10 + digit;
+  }
+  return !text.empty();
 }
 
-/// Offset just past the head's blank line, looked for only within the
-/// first `limit` bytes; npos when there is none.
-size_t HeadEnd(std::string_view buffer, size_t limit) {
-  const size_t pos = buffer.substr(0, limit).find("\r\n\r\n");
-  return pos == std::string_view::npos ? pos : pos + 4;
-}
-
-/// Splits `head` (no blank line) into its start line and header fields.
-/// A field line needs a colon and a non-empty name; names are
-/// lower-cased and both sides trimmed. False on a malformed line.
-bool ParseFields(std::string_view head, std::string_view* start_line,
-                 HttpHeaders* headers) {
+/// Finds the head at the front of `buffer` (its blank line must end
+/// within `max_head_bytes`), splits off the start line and parses the
+/// field lines; each needs a colon and a non-empty name. On success only
+/// `head_bytes` is set: the body is framed by FrameBody.
+Framing SplitHead(std::string_view buffer, size_t max_head_bytes,
+                  std::string_view* start_line, HttpHeaders* headers) {
+  const size_t blank = buffer.substr(0, max_head_bytes).find("\r\n\r\n");
+  if (blank == std::string_view::npos) {
+    return buffer.size() > max_head_bytes ? Framing{&kHeadTooLarge} : Framing();
+  }
+  const std::string_view head = buffer.substr(0, blank);
   size_t pos = head.find("\r\n");
   *start_line = head.substr(0, pos);
   headers->clear();
@@ -39,76 +43,39 @@ bool ParseFields(std::string_view head, std::string_view* start_line,
     const std::string_view line = head.substr(begin, pos - begin);
     if (line.empty()) continue;
     const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) return false;
-    const std::string_view name = Trim(line.substr(0, colon));
-    if (name.empty()) return false;
-    auto& field = headers->emplace_back(name, Trim(line.substr(colon + 1)));
-    for (char& c : field.first) {
-      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    std::string name = TrimString(line.substr(0, colon));
+    if (colon == std::string_view::npos || name.empty()) {
+      return Framing{&kMalformedHead};
     }
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    headers->emplace_back(std::move(name), TrimString(line.substr(colon + 1)));
   }
-  return true;
-}
-
-/// `1*DIGIT` into `*value`; a value past SIZE_MAX saturates there, which
-/// no body limit admits.
-bool ParseLength(std::string_view text, size_t* value) {
-  if (text.empty()) return false;
-  constexpr size_t kMax = std::numeric_limits<size_t>::max();
-  size_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const size_t digit = static_cast<size_t>(c - '0');
-    v = v > (kMax - digit) / 10 ? kMax : v * 10 + digit;
-  }
-  *value = v;
-  return true;
+  return Framing{nullptr, blank + 4};
 }
 
 /// The one body framing rule, for requests and responses alike.
-Framing FrameBody(const HttpHeaders& headers, size_t head_bytes,
-                  size_t max_body_bytes, bool response) {
-  Framing framing;
-  framing.state = Framing::State::kError;
+Framing FrameBody(Framing framing, const HttpHeaders& headers,
+                  size_t max_body_bytes) {
   if (FindHeader(headers, "transfer-encoding") != nullptr) {
-    framing.error = WireError::kTransferEncoding;
-    return framing;
+    return Framing{&kTransferEncoding};
   }
   bool has_length = false;
-  size_t length = 0;
   for (const auto& [name, value] : headers) {
     if (name != "content-length") continue;
-    size_t v = 0;
-    if (!ParseLength(value, &v) || (has_length && v != length)) {
-      framing.error = WireError::kBadLength;
-      return framing;
+    size_t length = 0;
+    if (!ParseDigits(value, &length) ||
+        (has_length && length != framing.body_bytes)) {
+      return Framing{&kBadLength};
     }
     has_length = true;
-    length = v;
+    framing.body_bytes = length;
   }
-  if (length > max_body_bytes ||
-      length == std::numeric_limits<size_t>::max()) {
-    framing.error = WireError::kBodyTooLarge;
-    return framing;
+  if (framing.body_bytes > max_body_bytes || framing.body_bytes == kNoLimit) {
+    return Framing{&kBodyTooLarge};
   }
-  framing.state = Framing::State::kReady;
-  framing.head_bytes = head_bytes;
-  framing.body_bytes = length;
-  framing.body_to_close = response && !has_length;
   return framing;
-}
-
-Framing Malformed() {
-  Framing framing;
-  framing.state = Framing::State::kError;
-  framing.error = WireError::kMalformedHead;
-  return framing;
-}
-
-void AppendContentLength(std::string* out, size_t size) {
-  out->append("Content-Length: ");
-  out->append(std::to_string(size));
-  out->append("\r\n");
 }
 
 void AppendField(std::string* out, std::string_view name,
@@ -119,138 +86,77 @@ void AppendField(std::string* out, std::string_view name,
   out->append("\r\n");
 }
 
+/// The one place the Content-Length header is written.
+void AppendContentLength(std::string* out, size_t size) {
+  out->append("Content-Length: ");
+  out->append(std::to_string(size));
+  out->append("\r\n");
+}
+
 }  // namespace
-
-const std::string* FindHeader(const HttpHeaders& headers,
-                              std::string_view name) {
-  for (const auto& h : headers) {
-    if (h.first == name) return &h.second;
-  }
-  return nullptr;
-}
-
-double HttpRequest::RemainingSeconds() const {
-  if (deadline == Clock::time_point::max()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double remaining =
-      std::chrono::duration<double>(deadline - Clock::now()).count();
-  return remaining > 0.0 ? remaining : 0.0;
-}
-
-const char* HttpReasonPhrase(int status_code) {
-  switch (status_code) {
-    case 200: return "OK";
-    case 201: return "Created";
-    case 204: return "No Content";
-    case 400: return "Bad Request";
-    case 404: return "Not Found";
-    case 405: return "Method Not Allowed";
-    case 408: return "Request Timeout";
-    case 409: return "Conflict";
-    case 412: return "Precondition Failed";
-    case 413: return "Payload Too Large";
-    case 429: return "Too Many Requests";
-    case 431: return "Request Header Fields Too Large";
-    case 500: return "Internal Server Error";
-    case 501: return "Not Implemented";
-    case 503: return "Service Unavailable";
-    default: return "Unknown";
-  }
-}
-
-namespace http {
 
 Framing ParseRequestHead(std::string_view buffer, size_t max_head_bytes,
                          size_t max_body_bytes, HttpRequest* request) {
-  const size_t head_bytes = HeadEnd(buffer, max_head_bytes);
-  if (head_bytes == std::string_view::npos) {
-    Framing framing;
-    if (buffer.size() > max_head_bytes) {
-      framing.state = Framing::State::kError;
-      framing.error = WireError::kHeadTooLarge;
-    }
-    return framing;
-  }
+  std::string_view line;
+  const Framing head =
+      SplitHead(buffer, max_head_bytes, &line, &request->headers);
+  if (head.head_bytes == 0) return head;
   // Request line: exactly three space-separated parts, the last an
   // HTTP/1.x version.
-  std::string_view line;
-  if (!ParseFields(buffer.substr(0, head_bytes - 4), &line,
-                   &request->headers)) {
-    return Malformed();
-  }
   const size_t sp1 = line.find(' ');
-  const size_t sp2 = sp1 == std::string_view::npos ? sp1
-                                                   : line.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos ||
-      line.find(' ', sp2 + 1) != std::string_view::npos ||
+  const size_t sp2 = line.find(' ', sp1 == line.npos ? sp1 : sp1 + 1);
+  if (sp2 == line.npos || line.find(' ', sp2 + 1) != line.npos ||
       line.substr(sp2 + 1, 7) != "HTTP/1.") {
-    return Malformed();
+    return Framing{&kMalformedHead};
   }
   request->method = line.substr(0, sp1);
   request->target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  return FrameBody(request->headers, head_bytes, max_body_bytes,
-                   /*response=*/false);
+  return FrameBody(head, request->headers, max_body_bytes);
 }
 
 Framing FrameRequest(std::string_view buffer, size_t max_head_bytes,
                      size_t max_body_bytes) {
   HttpRequest request;
-  Framing framing =
+  const Framing framing =
       ParseRequestHead(buffer, max_head_bytes, max_body_bytes, &request);
-  if (framing.state == Framing::State::kReady &&
-      buffer.size() < framing.size()) {
-    return Framing();
-  }
-  return framing;
+  return buffer.size() < framing.size() ? Framing() : framing;
 }
 
 Framing ParseResponseHead(std::string_view buffer, int* status_code,
                           HttpHeaders* headers) {
-  const size_t head_bytes = HeadEnd(buffer, std::string_view::npos);
-  if (head_bytes == std::string_view::npos) return Framing();
-  // Status line: "HTTP/1.x NNN", then the end or " reason".
   std::string_view line;
-  if (!ParseFields(buffer.substr(0, head_bytes - 4), &line, headers) ||
-      line.size() < 12 || line.substr(0, 7) != "HTTP/1." ||
-      !std::isdigit(static_cast<unsigned char>(line[7])) || line[8] != ' ' ||
+  const Framing head = SplitHead(buffer, kNoLimit, &line, headers);
+  if (head.head_bytes == 0) return head;
+  // Status line: "HTTP/1.x NNN", then the end or " reason".
+  size_t code = 0;
+  if (line.size() < 12 || line.substr(0, 7) != "HTTP/1." || line[8] != ' ' ||
+      !std::isdigit(static_cast<unsigned char>(line[7])) ||
+      !ParseDigits(line.substr(9, 3), &code) || code < 100 ||
       (line.size() > 12 && line[12] != ' ')) {
-    return Malformed();
+    return Framing{&kMalformedHead};
   }
-  int code = 0;
-  for (size_t i = 9; i < 12; ++i) {
-    if (line[i] < '0' || line[i] > '9') return Malformed();
-    code = code * 10 + (line[i] - '0');
-  }
-  if (code < 100) return Malformed();
-  *status_code = code;
-  return FrameBody(*headers, head_bytes, std::numeric_limits<size_t>::max(),
-                   /*response=*/true);
+  *status_code = static_cast<int>(code);
+  return FrameBody(head, *headers, kNoLimit);
 }
 
-ReadResult ReadResponse(std::string* buffer,
-                        const std::function<bool(std::string*)>& fill,
-                        int* status_code, HttpHeaders* headers,
-                        std::string* body) {
+Status ReadResponse(std::string* buffer,
+                    const std::function<bool(std::string*)>& fill,
+                    int* status_code, HttpHeaders* headers,
+                    std::string* body) {
   Framing framing;
-  while ((framing = ParseResponseHead(*buffer, status_code, headers)).state ==
-         Framing::State::kNeedMore) {
-    if (!fill(buffer)) return ReadResult::kEndedBeforeHead;
-  }
-  if (framing.state == Framing::State::kError) return ReadResult::kMalformed;
-  if (framing.body_to_close) {
-    while (fill(buffer)) {
+  while ((framing = ParseResponseHead(*buffer, status_code, headers))
+             .need_more()) {
+    if (!fill(buffer)) {
+      return Status::IOError("connection closed before the response head");
     }
-    body->assign(*buffer, framing.head_bytes);
-    buffer->clear();
-    return ReadResult::kComplete;
   }
+  if (framing.error != nullptr) return Status::IOError("malformed response");
   while (buffer->size() < framing.size()) {
-    if (!fill(buffer)) return ReadResult::kEndedInBody;
+    if (!fill(buffer)) return Status::IOError("connection closed mid-body");
   }
   body->assign(*buffer, framing.head_bytes, framing.body_bytes);
   buffer->erase(0, framing.size());
-  return ReadResult::kComplete;
+  return Status::OK();
 }
 
 std::string SerializeRequest(std::string_view method, std::string_view target,
@@ -289,4 +195,44 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
 }
 
 }  // namespace http
+
+const std::string* FindHeader(const HttpHeaders& headers,
+                              std::string_view name) {
+  for (const auto& h : headers) {
+    if (h.first == name) return &h.second;
+  }
+  return nullptr;
+}
+
+double HttpRequest::RemainingSeconds() const {
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double remaining = std::chrono::duration<double>(
+                               deadline - std::chrono::steady_clock::now())
+                               .count();
+  return remaining > 0.0 ? remaining : 0.0;
+}
+
+const char* HttpReasonPhrase(int status_code) {
+  switch (status_code) {
+    case 200: return "OK";
+    case 201: return "Created";
+    case 204: return "No Content";
+    case 400: return "Bad Request";
+    case 404: return "Not Found";
+    case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
+    case 409: return "Conflict";
+    case 412: return "Precondition Failed";
+    case 413: return "Payload Too Large";
+    case 429: return "Too Many Requests";
+    case 431: return "Request Header Fields Too Large";
+    case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
+    case 503: return "Service Unavailable";
+    default: return "Unknown";
+  }
+}
+
 }  // namespace surf

@@ -3,30 +3,29 @@
 
 /// \file
 /// \brief The HTTP/1.1 wire format: head parsing, body framing and
-/// serialisation, for requests and responses alike.
+/// serialisation of requests and responses.
 ///
-/// surfd's event loop, the cluster client (`dist::HttpCall`) and the
-/// test and bench clients all read and write messages through this one
-/// module, so both ends of a connection agree on where a message ends.
-/// The framing rule (RFC 9112 §6.3, restricted to what surfd speaks):
-/// - the body length is the `Content-Length` value, `1*DIGIT`;
-/// - several `Content-Length` fields must all parse and agree;
-/// - `Transfer-Encoding` is not supported;
-/// - a request without `Content-Length` has an empty body; a response
-///   without one runs to connection close.
+/// surfd's event loop, the cluster client (`dist::HttpCall`) and the test
+/// and bench clients all frame messages here, so both ends of a
+/// connection agree on where a message ends. The one framing rule (RFC
+/// 9112 §6.3, restricted): the body length is the `Content-Length` value,
+/// `1*DIGIT`; several such fields must all parse and agree;
+/// `Transfer-Encoding` is unsupported; without `Content-Length` the body
+/// is empty. surfd always sends one, and no message is read to close.
 
 #include <chrono>
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/status.h"
+
 namespace surf {
 
-/// Header fields (name, value) in arrival order. Parsed names are
-/// lower-cased and values trimmed of surrounding whitespace.
+/// Header fields (name, value) in arrival order; parsed names are
+/// lower-cased and values trimmed.
 using HttpHeaders = std::vector<std::pair<std::string, std::string>>;
 
 /// Value of the first field named `name` (lower-case), or null.
@@ -53,11 +52,6 @@ struct HttpRequest {
 
   /// Seconds until `deadline` (clamped at 0); +inf when no deadline.
   double RemainingSeconds() const;
-
-  /// Value of the first header named `name` (lower-case), or null.
-  const std::string* FindHeader(const std::string& name) const {
-    return surf::FindHeader(headers, name);
-  }
 };
 
 /// \brief One HTTP response produced by a handler.
@@ -78,82 +72,71 @@ const char* HttpReasonPhrase(int status_code);
 
 namespace http {
 
-/// Why the message at the front of a buffer cannot be framed. The
-/// comment names the status surfd answers a request with.
-enum class WireError {
-  kNone,
-  kMalformedHead,     ///< 400: bad start line or field line.
-  kHeadTooLarge,      ///< 431: no blank line within the head limit.
-  kTransferEncoding,  ///< 501: Transfer-Encoding is not supported.
-  kBadLength,         ///< 400: Content-Length not 1*DIGIT, or disagreeing.
-  kBodyTooLarge,      ///< 413: Content-Length overflows or is over limit.
+/// \brief Why a message cannot be framed, with surfd's answer to a
+/// request that fails that way.
+struct WireError {
+  int status;
+  const char* code;
+  const char* message;
 };
+inline constexpr WireError kMalformedHead{400, "bad_request",
+                                          "malformed HTTP request"};
+inline constexpr WireError kHeadTooLarge{431, "headers_too_large",
+                                         "header section exceeds limit"};
+inline constexpr WireError kTransferEncoding{
+    501, "unsupported", "chunked transfer encoding not supported"};
+inline constexpr WireError kBadLength{400, "bad_request",
+                                      "invalid Content-Length"};
+inline constexpr WireError kBodyTooLarge{413, "payload_too_large",
+                                         "request body exceeds limit"};
 
-/// \brief Where the message at the front of a buffer stands.
+/// \brief Where the message at the front of a buffer stands: more bytes
+/// needed, framed, or unframeable (`error` set).
 struct Framing {
-  enum class State {
-    kNeedMore,  ///< More bytes must arrive before anything is decided.
-    kReady,     ///< Framed: `head_bytes` and `body_bytes` are known.
-    kError,     ///< Unframeable; `error` says why.
-  };
-  State state = State::kNeedMore;
-  WireError error = WireError::kNone;
-  /// Size of the head, the blank line included.
+  const WireError* error = nullptr;
+  /// Head size, blank line included; 0 while more bytes are needed.
   size_t head_bytes = 0;
-  /// Declared body size (0 when the body runs to close).
+  /// Content-Length (0 without one).
   size_t body_bytes = 0;
-  /// A response without Content-Length: the body runs to EOF.
-  bool body_to_close = false;
 
-  /// Size of the whole message (head plus declared body).
+  bool need_more() const { return error == nullptr && head_bytes == 0; }
   size_t size() const { return head_bytes + body_bytes; }
 };
 
-/// Parses the request head at the front of `buffer` into `*request`
-/// (method, target, headers) and frames its body. kNeedMore until the
-/// head's blank line arrives; kError kHeadTooLarge once more than
-/// `max_head_bytes` bytes hold no blank line, whatever segments they
-/// came in; kReady once the head is whole and its framing valid (the
-/// body may still be arriving).
+/// Parses the request head at the front of `buffer` into `*request` and
+/// frames its body, which may still be arriving. Needs more bytes until a
+/// blank line ends within the first `max_head_bytes`; kHeadTooLarge once
+/// more bytes than that hold none, however they were segmented.
 Framing ParseRequestHead(std::string_view buffer, size_t max_head_bytes,
                          size_t max_body_bytes, HttpRequest* request);
 
 /// The framing verdict on the request at the front of `buffer`:
-/// ParseRequestHead, then kNeedMore until the whole body is in.
+/// ParseRequestHead, then need-more until the whole body is in.
 Framing FrameRequest(std::string_view buffer, size_t max_head_bytes,
                      size_t max_body_bytes);
 
 /// Parses the response head at the front of `buffer`: a status line
-/// `HTTP/1.x NNN [reason]` with exactly three digits, then header
-/// fields, framed by the same rule as requests.
+/// `HTTP/1.x NNN [reason]` with exactly three digits, then fields framed
+/// by the rule above.
 Framing ParseResponseHead(std::string_view buffer, int* status_code,
                           HttpHeaders* headers);
 
-/// How ReadResponse ended.
-enum class ReadResult {
-  kComplete,         ///< One whole response was read.
-  kMalformed,        ///< The head does not parse or frame.
-  kEndedBeforeHead,  ///< The stream ended before the head was whole.
-  kEndedInBody,      ///< The stream ended before the body was whole.
-};
+/// Reads one response from a blocking stream. `*buffer` holds bytes
+/// already received and keeps any surplus (pipelined answers); `fill`
+/// appends more and returns false at end of stream or on error. IOError
+/// when the response is malformed or the stream ends before it does.
+Status ReadResponse(std::string* buffer,
+                    const std::function<bool(std::string*)>& fill,
+                    int* status_code, HttpHeaders* headers,
+                    std::string* body);
 
-/// Reads one response from a blocking byte stream. `*buffer` holds bytes
-/// already received and keeps any surplus past the response (pipelined
-/// answers) on return; `fill` appends more bytes to its argument and
-/// returns false at end of stream or on error.
-ReadResult ReadResponse(std::string* buffer,
-                        const std::function<bool(std::string*)>& fill,
-                        int* status_code, HttpHeaders* headers,
-                        std::string* body);
-
-/// Serialises a request: the request line, `headers` in order, then
-/// Content-Length and the body.
+/// The request line, `headers` in order, Content-Length, then the body.
 std::string SerializeRequest(std::string_view method, std::string_view target,
                              const HttpHeaders& headers,
                              std::string_view body);
 
-/// Serialises a response: the status line, Content-Type, Content-Length,
-/// Connection (keep-alive or close), the extra headers, then the body.
+/// The status line, Content-Type, Content-Length, Connection (keep-alive
+/// or close), the extra headers, then the body.
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 
 }  // namespace http

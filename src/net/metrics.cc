@@ -15,6 +15,13 @@ void AppendMetric(std::string* out, const std::string& line) {
   out->push_back('\n');
 }
 
+/// Writes the HELP and TYPE lines that open a metric family.
+void AppendFamily(std::string* out, const std::string& name, const char* type,
+                  const std::string& help) {
+  AppendMetric(out, "# HELP " + name + " " + help);
+  AppendMetric(out, "# TYPE " + name + " " + type);
+}
+
 std::string FormatSeconds(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -43,38 +50,24 @@ void ServerMetrics::BumpRouteCounter(const std::string& route,
   it->second->value.fetch_add(1, std::memory_order_relaxed);
 }
 
+size_t ServerMetrics::LatencyBucket(double seconds) {
+  size_t bucket = 0;
+  while (bucket < kLatencyBucketsSeconds.size() &&
+         !(seconds <= kLatencyBucketsSeconds[bucket])) {
+    ++bucket;
+  }
+  return bucket;
+}
+
 void ServerMetrics::RecordRequest(const std::string& route, int status_code,
                                   double seconds) {
   BumpRouteCounter(route, status_code);
-  size_t bucket = kLatencyBucketsSeconds.size();  // +Inf slot
-  for (size_t i = 0; i < kLatencyBucketsSeconds.size(); ++i) {
-    if (seconds <= kLatencyBucketsSeconds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  buckets_[LatencyBucket(seconds)].fetch_add(1, std::memory_order_relaxed);
   const double ns = seconds * 1e9;
   latency_sum_ns_.fetch_add(
       ns > 0.0 ? static_cast<uint64_t>(std::llround(ns)) : 0,
       std::memory_order_relaxed);
   latency_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double ServerMetrics::LatencyQuantileSeconds(double q) const {
-  const uint64_t count = latency_count_.load(std::memory_order_relaxed);
-  if (count == 0) return 0.0;
-  const uint64_t rank =
-      static_cast<uint64_t>(q * static_cast<double>(count - 1)) + 1;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      return i < kLatencyBucketsSeconds.size() ? kLatencyBucketsSeconds[i]
-                                               : kLatencyBucketsSeconds.back();
-    }
-  }
-  return kLatencyBucketsSeconds.back();
 }
 
 std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
@@ -83,10 +76,8 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
   std::string out;
   out.reserve(4096);
 
-  AppendMetric(&out,
-               "# HELP surf_http_requests_total Requests served, by route "
-               "and status code.");
-  AppendMetric(&out, "# TYPE surf_http_requests_total counter");
+  AppendFamily(&out, "surf_http_requests_total", "counter",
+               "Requests served, by route and status code.");
   {
     std::unique_lock<std::shared_mutex> lock(routes_mu_);
     for (const auto& [key, counter] : requests_) {
@@ -98,10 +89,8 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
     }
   }
 
-  AppendMetric(&out,
-               "# HELP surf_http_request_duration_seconds End-to-end "
-               "handler latency.");
-  AppendMetric(&out, "# TYPE surf_http_request_duration_seconds histogram");
+  AppendFamily(&out, "surf_http_request_duration_seconds", "histogram",
+               "End-to-end handler latency.");
   uint64_t cumulative = 0;
   for (size_t i = 0; i < kLatencyBucketsSeconds.size(); ++i) {
     cumulative += buckets_[i].load(std::memory_order_relaxed);
@@ -125,20 +114,17 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
                    std::to_string(
                        latency_count_.load(std::memory_order_relaxed)));
 
-  AppendMetric(&out,
-               "# HELP surf_http_inflight_requests Requests currently "
-               "inside a handler.");
-  AppendMetric(&out, "# TYPE surf_http_inflight_requests gauge");
+  AppendFamily(&out, "surf_http_inflight_requests", "gauge",
+               "Requests currently inside a handler.");
   AppendMetric(&out, "surf_http_inflight_requests " +
                          std::to_string(inflight_.load()));
 
   // Per-stage pipeline latency, fed by the trace layer: one histogram
   // per mining stage, same buckets as the request histogram above so
   // the two decompositions line up.
-  AppendMetric(&out,
-               "# HELP surf_stage_seconds Mining pipeline stage latency "
-               "(spans recorded by traced requests), by stage.");
-  AppendMetric(&out, "# TYPE surf_stage_seconds histogram");
+  AppendFamily(&out, "surf_stage_seconds", "histogram",
+               "Mining pipeline stage latency (spans recorded by traced "
+               "requests), by stage.");
   const StageStats& stages = StageStats::Instance();
   for (int s = 1; s < kNumTraceStages; ++s) {
     const TraceStage stage = static_cast<TraceStage>(s);
@@ -163,10 +149,8 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
                            std::to_string(snap.count));
   }
 
-  AppendMetric(&out,
-               "# HELP surf_cache_requests_total Surrogate-cache lookups, "
-               "by outcome.");
-  AppendMetric(&out, "# TYPE surf_cache_requests_total counter");
+  AppendFamily(&out, "surf_cache_requests_total", "counter",
+               "Surrogate-cache lookups, by outcome.");
   AppendMetric(&out, "surf_cache_requests_total{outcome=\"hit\"} " +
                          std::to_string(cache.hits));
   AppendMetric(&out, "surf_cache_requests_total{outcome=\"miss\"} " +
@@ -178,43 +162,36 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
   AppendMetric(&out, "surf_cache_requests_total{outcome=\"rejected\"} " +
                          std::to_string(cache.breaker_rejections));
 
-  AppendMetric(&out,
-               "# HELP surf_cache_training_failures_total Surrogate "
-               "training attempts that failed (before any fallback).");
-  AppendMetric(&out, "# TYPE surf_cache_training_failures_total counter");
+  AppendFamily(&out, "surf_cache_training_failures_total", "counter",
+               "Surrogate training attempts that failed (before any "
+               "fallback).");
   AppendMetric(&out, "surf_cache_training_failures_total " +
                          std::to_string(cache.training_failures));
 
-  AppendMetric(&out,
-               "# HELP surf_cache_evictions_total Surrogate-cache "
-               "evictions, by reason.");
-  AppendMetric(&out, "# TYPE surf_cache_evictions_total counter");
+  AppendFamily(&out, "surf_cache_evictions_total", "counter",
+               "Surrogate-cache evictions, by reason.");
   AppendMetric(&out, "surf_cache_evictions_total{reason=\"capacity\"} " +
                          std::to_string(cache.evictions));
   AppendMetric(&out, "surf_cache_evictions_total{reason=\"stale\"} " +
                          std::to_string(cache.stale_evictions));
 
-  AppendMetric(&out, "# HELP surf_cache_entries Resident cache entries.");
-  AppendMetric(&out, "# TYPE surf_cache_entries gauge");
+  AppendFamily(&out, "surf_cache_entries", "gauge",
+               "Resident cache entries.");
   AppendMetric(&out, "surf_cache_entries " + std::to_string(cache.entries));
 
   const uint64_t lookups = cache.hits + cache.misses;
-  AppendMetric(&out,
-               "# HELP surf_cache_hit_ratio Fraction of lookups served by "
-               "a resident surrogate.");
-  AppendMetric(&out, "# TYPE surf_cache_hit_ratio gauge");
+  AppendFamily(&out, "surf_cache_hit_ratio", "gauge",
+               "Fraction of lookups served by a resident surrogate.");
   AppendMetric(
       &out, "surf_cache_hit_ratio " +
                 FormatSeconds(lookups == 0 ? 0.0
                                            : static_cast<double>(cache.hits) /
                                                  static_cast<double>(lookups)));
 
-  AppendMetric(&out,
-               "# HELP surf_shard_scan_total Sharded-evaluator shard "
-               "classifications, by action (pruned = disjoint skip, "
-               "block_merged = answered from summaries, scanned = full "
-               "mask scan).");
-  AppendMetric(&out, "# TYPE surf_shard_scan_total counter");
+  AppendFamily(&out, "surf_shard_scan_total", "counter",
+               "Sharded-evaluator shard classifications, by action (pruned = "
+               "disjoint skip, block_merged = answered from summaries, "
+               "scanned = full mask scan).");
   AppendMetric(&out, "surf_shard_scan_total{action=\"pruned\"} " +
                          std::to_string(service.shard_evals_pruned));
   AppendMetric(&out, "surf_shard_scan_total{action=\"block_merged\"} " +
@@ -223,51 +200,42 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
                          std::to_string(service.shard_evals_scanned));
 
   if (!service.accel_backend.empty()) {
-    AppendMetric(&out,
-                 "# HELP surf_accel_backend Active SIMD kernel backend "
-                 "(info-style gauge: the selected backend reads 1).");
-    AppendMetric(&out, "# TYPE surf_accel_backend gauge");
+    AppendFamily(&out, "surf_accel_backend", "gauge",
+                 "Active SIMD kernel backend (info-style gauge: the selected "
+                 "backend reads 1).");
     AppendMetric(&out, "surf_accel_backend{backend=\"" +
                            service.accel_backend + "\"} 1");
   }
 
-  AppendMetric(&out,
-               "# HELP surf_jobs_tracked Jobs registered in the job table "
-               "(live + retained finished).");
-  AppendMetric(&out, "# TYPE surf_jobs_tracked gauge");
+  AppendFamily(&out, "surf_jobs_tracked", "gauge",
+               "Jobs registered in the job table (live + retained finished).");
   AppendMetric(&out,
                "surf_jobs_tracked " + std::to_string(service.jobs_tracked));
 
-  AppendMetric(&out,
-               "# HELP surf_jobs_evicted_total Finished jobs evicted from "
-               "the job table by retention (count or age cap).");
-  AppendMetric(&out, "# TYPE surf_jobs_evicted_total counter");
+  AppendFamily(&out, "surf_jobs_evicted_total", "counter",
+               "Finished jobs evicted from the job table by retention (count "
+               "or age cap).");
   AppendMetric(&out, "surf_jobs_evicted_total " +
                          std::to_string(service.jobs_evicted));
 
   if (service.has_dist) {
-    AppendMetric(&out,
-                 "# HELP surf_dist_shard_retries_total Shard groups "
-                 "re-homed onto another worker after an RPC failure.");
-    AppendMetric(&out, "# TYPE surf_dist_shard_retries_total counter");
+    AppendFamily(&out, "surf_dist_shard_retries_total", "counter",
+                 "Shard groups re-homed onto another worker after an RPC "
+                 "failure.");
     AppendMetric(&out, "surf_dist_shard_retries_total " +
                            std::to_string(service.dist_shard_retries));
 
-    AppendMetric(&out,
-                 "# HELP surf_dist_worker_unhealthy Whether a configured "
-                 "worker is currently marked unhealthy (1 = failing, "
-                 "awaiting /healthz readmission).");
-    AppendMetric(&out, "# TYPE surf_dist_worker_unhealthy gauge");
+    AppendFamily(&out, "surf_dist_worker_unhealthy", "gauge",
+                 "Whether a configured worker is currently marked unhealthy "
+                 "(1 = failing, awaiting /healthz readmission).");
     for (const auto& worker : service.dist_workers) {
       AppendMetric(&out, "surf_dist_worker_unhealthy{worker=\"" +
                              worker.endpoint + "\"} " +
                              std::string(worker.healthy ? "0" : "1"));
     }
 
-    AppendMetric(&out,
-                 "# HELP surf_dist_worker_request_seconds Coordinator-"
-                 "observed shard-evaluate RPC latency, by worker.");
-    AppendMetric(&out, "# TYPE surf_dist_worker_request_seconds histogram");
+    AppendFamily(&out, "surf_dist_worker_request_seconds", "histogram",
+                 "Coordinator-observed shard-evaluate RPC latency, by worker.");
     for (const auto& worker : service.dist_workers) {
       const std::string label = "worker=\"" + worker.endpoint + "\"";
       uint64_t worker_cumulative = 0;
@@ -291,52 +259,40 @@ std::string ServerMetrics::RenderPrometheus(const CacheFigures& cache,
   }
 
   if (service.has_transport) {
-    AppendMetric(&out,
-                 "# HELP surf_http_worker_exceptions_total Handler "
-                 "invocations that threw (answered 500).");
-    AppendMetric(&out, "# TYPE surf_http_worker_exceptions_total counter");
+    AppendFamily(&out, "surf_http_worker_exceptions_total", "counter",
+                 "Handler invocations that threw (answered 500).");
     AppendMetric(&out, "surf_http_worker_exceptions_total " +
                            std::to_string(service.worker_exceptions));
 
-    AppendMetric(&out,
-                 "# HELP surf_http_write_failures_total Responses whose "
-                 "socket write failed (peer gone or write deadline).");
-    AppendMetric(&out, "# TYPE surf_http_write_failures_total counter");
+    AppendFamily(&out, "surf_http_write_failures_total", "counter",
+                 "Responses whose socket write failed (peer gone or write "
+                 "deadline).");
     AppendMetric(&out, "surf_http_write_failures_total " +
                            std::to_string(service.write_failures));
 
-    AppendMetric(&out,
-                 "# HELP surf_http_requests_shed_total Queued requests "
-                 "abandoned by load shedding (answered 503).");
-    AppendMetric(&out, "# TYPE surf_http_requests_shed_total counter");
+    AppendFamily(&out, "surf_http_requests_shed_total", "counter",
+                 "Queued requests abandoned by load shedding (answered 503).");
     AppendMetric(&out, "surf_http_requests_shed_total " +
                            std::to_string(service.requests_shed));
 
-    AppendMetric(&out,
-                 "# HELP surf_http_tenant_throttled_total Requests "
-                 "answered 429 by a tenant rate limit.");
-    AppendMetric(&out, "# TYPE surf_http_tenant_throttled_total counter");
+    AppendFamily(&out, "surf_http_tenant_throttled_total", "counter",
+                 "Requests answered 429 by a tenant rate limit.");
     AppendMetric(&out, "surf_http_tenant_throttled_total " +
                            std::to_string(service.tenant_throttled));
 
-    AppendMetric(&out,
-                 "# HELP surf_http_tenant_over_quota_total Requests "
-                 "answered 429 by a tenant concurrency quota.");
-    AppendMetric(&out, "# TYPE surf_http_tenant_over_quota_total counter");
+    AppendFamily(&out, "surf_http_tenant_over_quota_total", "counter",
+                 "Requests answered 429 by a tenant concurrency quota.");
     AppendMetric(&out, "surf_http_tenant_over_quota_total " +
                            std::to_string(service.tenant_over_quota));
 
-    AppendMetric(&out,
-                 "# HELP surf_http_batch_served_total Requests served on "
-                 "the batch-class workers.");
-    AppendMetric(&out, "# TYPE surf_http_batch_served_total counter");
+    AppendFamily(&out, "surf_http_batch_served_total", "counter",
+                 "Requests served on the batch-class workers.");
     AppendMetric(&out, "surf_http_batch_served_total " +
                            std::to_string(service.batch_served));
 
-    AppendMetric(&out,
-                 "# HELP surf_mine_coalesced_total /v1/mine requests "
-                 "answered by sharing an identical in-flight computation.");
-    AppendMetric(&out, "# TYPE surf_mine_coalesced_total counter");
+    AppendFamily(&out, "surf_mine_coalesced_total", "counter",
+                 "/v1/mine requests answered by sharing an identical "
+                 "in-flight computation.");
     AppendMetric(&out, "surf_mine_coalesced_total " +
                            std::to_string(service.mine_coalesced));
   }

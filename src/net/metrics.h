@@ -34,6 +34,10 @@ class ServerMetrics {
       0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
       0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
 
+  /// Index of the bucket `seconds` falls in (kLatencyBucketsSeconds.size()
+  /// for +Inf); the dist worker pool buckets its RPC latencies alike.
+  static size_t LatencyBucket(double seconds);
+
   /// Records one completed request: its route label (the matched
   /// endpoint pattern, not the raw target), HTTP status, and wall-time.
   void RecordRequest(const std::string& route, int status_code,
@@ -53,11 +57,6 @@ class ServerMetrics {
   uint64_t total_requests() const {
     return latency_count_.load(std::memory_order_relaxed);
   }
-
-  /// Latency quantile (e.g. 0.5, 0.99) estimated from the histogram:
-  /// the upper bound of the bucket containing the quantile. Returns 0
-  /// when nothing has been recorded.
-  double LatencyQuantileSeconds(double q) const;
 
   /// \brief One cache figure the exporter publishes alongside transport
   /// counters (filled by the caller from SurrogateCache::Stats).
@@ -100,15 +99,14 @@ class ServerMetrics {
     /// Active SIMD kernel backend ("generic", "avx2", "avx512");
     /// empty omits the surf_accel_backend info gauge.
     std::string accel_backend;
-    /// \brief One distributed worker's figures (filled from
-    /// dist::WorkerPool::Snapshot()).
+    /// \brief One distributed worker's figures (what
+    /// dist::WorkerPool::Snapshot() returns).
     struct DistWorkerFigures {
       std::string endpoint;
       bool healthy = true;
       /// Raw (non-cumulative) RPC latency bucket counts; bounds are
-      /// kLatencyBucketsSeconds (the pool uses identical bounds), last
-      /// slot = +Inf.
-      std::array<uint64_t, 15> buckets{};
+      /// kLatencyBucketsSeconds, last slot = +Inf.
+      std::array<uint64_t, kLatencyBucketsSeconds.size() + 1> buckets{};
       double latency_sum_seconds = 0.0;
       uint64_t latency_count = 0;
     };

@@ -184,19 +184,10 @@ HttpResponse SurfHandler::HandleMetrics(const HttpRequest&,
   service.shard_evals_scanned = shard_telemetry.scanned;
   service.accel_backend = AccelBackendName(ActiveAccelBackend());
   if (const dist::WorkerPool* pool = service_->cluster_pool()) {
-    const dist::WorkerPool::Figures figures = pool->Snapshot();
+    dist::WorkerPool::Figures figures = pool->Snapshot();
     service.has_dist = true;
     service.dist_shard_retries = figures.shard_retries;
-    service.dist_workers.reserve(figures.workers.size());
-    for (const dist::WorkerPool::WorkerFigures& worker : figures.workers) {
-      ServerMetrics::ServiceFigures::DistWorkerFigures out;
-      out.endpoint = worker.endpoint;
-      out.healthy = worker.healthy;
-      out.buckets = worker.buckets;
-      out.latency_sum_seconds = worker.latency_sum_seconds;
-      out.latency_count = worker.latency_count;
-      service.dist_workers.push_back(std::move(out));
-    }
+    service.dist_workers = std::move(figures.workers);
   }
   if (transport_stats_) {
     const HttpServer::Stats transport = transport_stats_();

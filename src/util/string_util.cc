@@ -22,11 +22,11 @@ std::vector<std::string> SplitString(const std::string& s, char delim) {
   return out;
 }
 
-std::string TrimString(const std::string& s) {
+std::string TrimString(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+  return std::string(s.substr(b, e - b));
 }
 
 std::string FormatDouble(double v, int precision) {

@@ -2,6 +2,7 @@
 #define SURF_UTIL_STRING_UTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace surf {
@@ -10,7 +11,7 @@ namespace surf {
 std::vector<std::string> SplitString(const std::string& s, char delim);
 
 /// Strips leading/trailing ASCII whitespace.
-std::string TrimString(const std::string& s);
+std::string TrimString(std::string_view s);
 
 /// Formats a double with `precision` significant-looking decimals,
 /// trimming trailing zeros ("1.30" -> "1.3", "2.00" -> "2").

@@ -104,10 +104,10 @@ class ChaosClient {
   ChaosResponse ReadResponse() {
     ChaosResponse response;
     std::string buffer;
-    if (http::ReadResponse(
-            &buffer, [this](std::string* out) { return Fill(out); },
-            &response.status, &response.headers,
-            &response.body) != http::ReadResult::kComplete) {
+    if (!http::ReadResponse(
+             &buffer, [this](std::string* out) { return Fill(out); },
+             &response.status, &response.headers, &response.body)
+             .ok()) {
       return {};
     }
     return response;
