@@ -23,7 +23,7 @@ using Clock = std::chrono::steady_clock;
 
 /// One poll slice: short enough that cancellation lands promptly,
 /// long enough that an idle wait costs nothing measurable.
-constexpr int kPollSliceMs = 10;
+constexpr int kCancelPollMs = 10;
 
 /// RAII socket: closed on every exit path, including cancellation —
 /// which is what "cancellation releases the worker connection" means at
@@ -43,7 +43,7 @@ Status AwaitReady(int fd, short events, Clock::time_point deadline,
     if (cancel.cancelled()) return Status::Cancelled("rpc cancelled");
     if (Clock::now() >= deadline) return Status::TimedOut("rpc timed out");
     pollfd pfd{fd, events, 0};
-    const int n = ::poll(&pfd, 1, kPollSliceMs);
+    const int n = ::poll(&pfd, 1, kCancelPollMs);
     if (n < 0 && errno != EINTR) {
       return Status::IOError("poll failed: " + std::string(strerror(errno)));
     }

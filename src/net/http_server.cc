@@ -4,9 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <strings.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <strings.h>
 #include <sys/socket.h>
 #include <unistd.h>
 

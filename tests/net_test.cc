@@ -2168,6 +2168,18 @@ TEST(HttpWireTest, EveryPrefixFramesAsTheWholeEntry) {
   }
 }
 
+// The head limit is a property of the bytes, not of how they arrive: a
+// head whose blank line ends past the limit is 431 whether it comes in
+// one segment or byte by byte (a search over the whole buffer used to
+// accept it in one piece and reject it in pieces).
+TEST(HttpWireTest, HeadLimitHoldsHoweverTheBytesArrive) {
+  const std::string oversized = "GET /x HTTP/1.1\r\nX-Pad: " +
+                                std::string(2 * kCorpusMaxHead, 'p') +
+                                "\r\n\r\n";
+  EXPECT_EQ(FrameCorpusRequest(oversized).error, &http::kHeadTooLarge);
+  ExpectPrefixStable(oversized, FrameCorpusRequest);
+}
+
 // Seeded byte mutations of the corpus, requests and responses alike (the
 // stand-in for a fuzz target; net_test runs under ASan/UBSan in CI). Each
 // mutant must frame without fault and stay prefix-stable.
