@@ -416,7 +416,7 @@ void HttpServer::DispatchRequest(Connection* conn) {
   conn->request = HttpRequest();
 
   bool client_close = false;
-  if (const std::string* h = FindHeader(request.headers, "connection")) {
+  if (const std::string* h = request.FindHeader("connection")) {
     if (::strcasecmp(h->c_str(), "close") == 0) client_close = true;
   }
 
@@ -446,8 +446,7 @@ void HttpServer::DispatchRequest(Connection* conn) {
   // Per-tenant QoS. Throttled/over-quota answers keep the connection
   // alive: the client's next request may be within budget.
   std::string tenant = "default";
-  if (const std::string* h =
-          FindHeader(request.headers, options_.tenant_header)) {
+  if (const std::string* h = request.FindHeader(options_.tenant_header)) {
     if (!h->empty()) tenant = *h;
   }
   const auto decision = governor_->Admit(tenant, Clock::now());
@@ -478,8 +477,7 @@ void HttpServer::DispatchRequest(Connection* conn) {
   }
 
   bool is_batch = false;
-  if (const std::string* h =
-          FindHeader(request.headers, options_.priority_header)) {
+  if (const std::string* h = request.FindHeader(options_.priority_header)) {
     if (::strcasecmp(h->c_str(), "batch") == 0) is_batch = true;
   }
 

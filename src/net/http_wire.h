@@ -52,6 +52,11 @@ struct HttpRequest {
 
   /// Seconds until `deadline` (clamped at 0); +inf when no deadline.
   double RemainingSeconds() const;
+
+  /// Value of the first header named `name` (lower-case), or null.
+  const std::string* FindHeader(std::string_view name) const {
+    return surf::FindHeader(headers, name);
+  }
 };
 
 /// \brief One HTTP response produced by a handler.
