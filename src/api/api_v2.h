@@ -29,7 +29,6 @@
 
 #include "core/surf.h"
 #include "core/topk.h"
-#include "data/sharded.h"
 #include "serve/surrogate_cache.h"
 #include "util/status.h"
 #include "util/trace.h"

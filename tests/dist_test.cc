@@ -434,6 +434,8 @@ class CannedWorker {
     thread_.join();
     ::close(listen_fd_);
   }
+  CannedWorker(const CannedWorker&) = delete;
+  CannedWorker& operator=(const CannedWorker&) = delete;
 
   uint16_t port() const { return port_; }
 

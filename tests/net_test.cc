@@ -1824,15 +1824,19 @@ TEST(SurfHandlerTest, BlockingMineDeadlineCancelsAndAnswers408) {
 
 // ------------------------------------------------------- send-path tests
 
-/// A loopback client socket with a tiny receive buffer (set before
-/// connect, so the advertised window stays small); -1 on failure.
-int ConnectTinyReceiver(uint16_t port) {
+/// A blocking loopback client socket (TCP_NODELAY, 10 s receive
+/// timeout). A nonzero `rcvbuf` is set before connect, so the advertised
+/// window stays that small. -1 on failure.
+int ConnectLoopback(uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  const int rcvbuf = 4096;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  timeval timeout{30, 0};
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  timeval timeout{10, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -1873,7 +1877,7 @@ TEST(HttpServerTest, LargeResponseReachesTinySlowReaderWhole) {
   });
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ConnectTinyReceiver(server.port());
+  const int fd = ConnectLoopback(server.port(), /*rcvbuf=*/4096);
   ASSERT_GE(fd, 0);
   const std::string request = RawRequest("GET", "/big", {});
   ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
@@ -1946,7 +1950,7 @@ TEST(HttpServerTest, WriteDeadlineDropsStalledReader) {
   });
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ConnectTinyReceiver(server.port());
+  const int fd = ConnectLoopback(server.port(), /*rcvbuf=*/4096);
   ASSERT_GE(fd, 0);
   const std::string request = RawRequest("GET", "/big", {});
   ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
@@ -2048,19 +2052,9 @@ std::vector<WireEntry> WireCorpus() {
 /// closes the connection.
 std::string SegmentedExchange(uint16_t port, const std::string& bytes,
                               const std::vector<size_t>& cuts) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  timeval timeout{10, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const int fd = ConnectLoopback(port);
   std::string received;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+  if (fd >= 0) {
     size_t from = 0;
     std::vector<size_t> ends = cuts;
     ends.push_back(bytes.size());
@@ -2078,8 +2072,8 @@ std::string SegmentedExchange(uint16_t port, const std::string& bytes,
     while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
       received.append(chunk, static_cast<size_t>(n));
     }
+    ::close(fd);
   }
-  ::close(fd);
   return received;
 }
 
@@ -2170,8 +2164,8 @@ TEST(HttpWireTest, EveryPrefixFramesAsTheWholeEntry) {
 
 // The head limit is a property of the bytes, not of how they arrive: a
 // head whose blank line ends past the limit is 431 whether it comes in
-// one segment or byte by byte (a search over the whole buffer used to
-// accept it in one piece and reject it in pieces).
+// one segment or byte by byte. A blank-line search over the whole buffer
+// would accept it in one piece and reject it in pieces.
 TEST(HttpWireTest, HeadLimitHoldsHoweverTheBytesArrive) {
   const std::string oversized = "GET /x HTTP/1.1\r\nX-Pad: " +
                                 std::string(2 * kCorpusMaxHead, 'p') +
