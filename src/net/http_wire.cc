@@ -72,7 +72,9 @@ Framing FrameBody(Framing framing, const HttpHeaders& headers,
     has_length = true;
     framing.body_bytes = length;
   }
-  if (framing.body_bytes > max_body_bytes || framing.body_bytes == kNoLimit) {
+  // The second bound keeps head + body representable even without a limit.
+  if (framing.body_bytes > max_body_bytes ||
+      framing.body_bytes > kNoLimit - framing.head_bytes) {
     return Framing{&kBodyTooLarge};
   }
   return framing;

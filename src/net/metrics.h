@@ -48,16 +48,6 @@ class ServerMetrics {
   /// Marks one request leaving the handler (in-flight gauge −1).
   void EndRequest() { inflight_.fetch_sub(1, std::memory_order_relaxed); }
 
-  /// Requests currently inside a handler.
-  uint64_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
-  /// Total requests recorded (across routes and status codes).
-  uint64_t total_requests() const {
-    return latency_count_.load(std::memory_order_relaxed);
-  }
-
   /// \brief One cache figure the exporter publishes alongside transport
   /// counters (filled by the caller from SurrogateCache::Stats).
   struct CacheFigures {

@@ -478,6 +478,8 @@ TEST(DistHttpClientTest, MalformedResponseFramingIsAnIOError) {
       "HTTP/1.1 2000 OK\r\nContent-Length: 2\r\n\r\n{}",
       "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n"
       "{}xy",
+      // Would wrap head + body past SIZE_MAX.
+      "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551614\r\n\r\n{}",
   };
   for (const std::string& response : malformed) {
     SCOPED_TRACE(response);
