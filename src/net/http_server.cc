@@ -16,7 +16,6 @@
 #include <cstring>
 
 #include "util/failpoint.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -33,62 +32,50 @@ constexpr uint64_t kWakeId = 1;
 /// Upper bound on one epoll_wait when no timer is armed sooner.
 constexpr int kMaxEpollWaitMs = 100;
 
-/// How long an error-closed connection lingers half-closed, draining
-/// the peer's unread bytes so the error response survives (close() with
-/// unread input provokes an RST that can discard it).
-constexpr double kLingerSeconds = 0.25;
+/// The Stats field each http::Counter bumps, in enum order.
+constexpr uint64_t HttpServer::Stats::*kStepCounters[] = {
+    &HttpServer::Stats::parse_errors, &HttpServer::Stats::request_timeouts,
+    &HttpServer::Stats::write_failures, &HttpServer::Stats::requests_served,
+    &HttpServer::Stats::batch_served};
 
-Clock::time_point DeadlineAfter(double seconds) {
-  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(seconds));
+/// An error answer that asks the client to retry in a second.
+HttpResponse RetryLater(int status, const char* code, const char* message) {
+  HttpResponse response = JsonErrorResponse(status, code, message);
+  response.headers.emplace_back("Retry-After", "1");
+  return response;
+}
+
+/// A synchronous answer to a dispatched request.
+http::Event Answer(const HttpResponse& response, http::Then then) {
+  return {http::Event::kCompletion, {},
+          {http::SerializeResponse(response, then == http::Then::kKeep), then}};
+}
+
+Clock::duration Seconds(double seconds) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
 
-HttpResponse JsonErrorResponse(int status_code, const std::string& code,
-                               const std::string& message) {
-  JsonValue error = JsonValue::Object();
-  error.Set("code", JsonValue(code));
-  error.Set("message", JsonValue(message));
-  JsonValue body = JsonValue::Object();
-  body.Set("error", std::move(error));
-  HttpResponse response;
-  response.status_code = status_code;
-  response.body = WriteJson(body) + "\n";
-  return response;
-}
-
-/// \brief Per-connection state owned exclusively by the event loop.
+/// \brief One connection: its socket, its epoll registration, the answer
+/// being flushed, and the step state that decides everything else.
 struct HttpServer::Connection {
-  enum class State {
-    kReading,     ///< Accumulating request bytes (or idle keep-alive).
-    kDispatched,  ///< A request is with the scheduler; socket parked.
-    kWriting,     ///< Flushing a response; EPOLLOUT on backpressure.
-    kLingering,   ///< Half-closed after an error; draining peer bytes.
-  };
-
   int fd = -1;
   uint64_t id = 0;
-  State state = State::kReading;
-  std::string in;   ///< Unconsumed request bytes (pipelining carries over).
+  uint32_t events = 0;  ///< Registered epoll interest (0 = not in the set).
+  http::Interest interest = http::Interest::kNone;  ///< What the step wants.
   std::string out;  ///< Response bytes being flushed.
   size_t out_off = 0;
-  uint32_t events = 0;      ///< Currently registered epoll interest.
-  bool registered = false;  ///< fd present in the epoll set.
-  bool saw_request_byte = false;  ///< Mid-request (deadline running).
-  bool peer_eof = false;
-  size_t head_bytes = 0;      ///< Head size once parsed (0 = not yet).
-  size_t content_length = 0;  ///< Declared body size once head parsed.
-  bool close_after_write = false;
-  bool linger_on_close = false;  ///< Error path: drain before closing.
-  bool count_served_on_flush = false;
-  bool batch_on_flush = false;
-  HttpRequest request;  ///< Request being parsed (head fields so far).
-  Clock::time_point request_deadline{};
+  http::Conn state;
 };
 
 HttpServer::HttpServer(Options options, HttpHandler handler)
-    : options_(std::move(options)), handler_(std::move(handler)) {}
+    : options_(std::move(options)),
+      handler_(std::move(handler)),
+      limits_{options_.max_header_bytes, options_.max_body_bytes,
+              Seconds(options_.request_deadline_seconds),
+              Seconds(options_.idle_timeout_seconds)} {}
 
 HttpServer::~HttpServer() { Shutdown(); }
 
@@ -222,23 +209,16 @@ void HttpServer::RunLoop() {
   while (true) {
     if (draining_.load(std::memory_order_acquire)) {
       if (!listener_closed) {
-        // Drain begins: stop accepting and shed idle keep-alive
-        // connections. Mid-request and dispatched connections are
-        // served to completion (their deadlines bound the wait).
+        // Drain begins: stop accepting; the step closes idle keep-alive
+        // connections and serves the rest to completion (their deadlines
+        // bound the wait).
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         ::close(listen_fd_);
         listen_fd_ = -1;
         listener_closed = true;
-        std::vector<uint64_t> idle;
-        for (const auto& [id, conn] : conns_) {
-          if (conn->state == Connection::State::kReading &&
-              !conn->saw_request_byte && conn->in.empty()) {
-            idle.push_back(id);
-          }
-        }
-        for (const uint64_t id : idle) {
-          auto it = conns_.find(id);
-          if (it != conns_.end()) CloseConnection(it->second.get());
+        for (auto it = conns_.begin(); it != conns_.end();) {
+          Connection* conn = (it++)->second.get();  // Drive may erase it
+          Drive(conn, {http::Event::kDrain});
         }
       }
       bool drained;
@@ -280,7 +260,10 @@ void HttpServer::RunLoop() {
 
     fired.clear();
     wheel_->Advance(Clock::now(), &fired);
-    for (const uint64_t id : fired) OnTimer(id);
+    for (const uint64_t id : fired) {
+      auto it = conns_.find(id);
+      if (it != conns_.end()) Drive(it->second.get(), {http::Event::kTimer});
+    }
   }
 }
 
@@ -302,8 +285,7 @@ void HttpServer::AcceptReady() {
     conn->id = id;
     Connection* raw = conn.get();
     conns_.emplace(id, std::move(conn));
-    UpdateEpoll(raw, EPOLLIN);
-    wheel_->Arm(id, DeadlineAfter(options_.idle_timeout_seconds));
+    Drive(raw, {http::Event::kOpen});
   }
 }
 
@@ -311,110 +293,78 @@ void HttpServer::HandleConnectionEvent(uint64_t id, uint32_t events) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Connection* conn = it->second.get();
-  if (conn->state == Connection::State::kWriting) {
-    if (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) ContinueWrite(conn);
-  } else if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-    ReadAvailable(conn);
+  if (conn->interest == http::Interest::kWrite) {
+    if (!(events & (EPOLLOUT | EPOLLERR | EPOLLHUP))) return;
+    if (std::optional<http::Event> ended = Flush(conn)) {
+      Drive(conn, std::move(*ended));
+    }
+    return;
   }
-  it = conns_.find(id);
-  if (it != conns_.end() &&
-      it->second->state == Connection::State::kReading) {
-    ProcessInput(it->second.get());
-  }
-}
-
-void HttpServer::ReadAvailable(Connection* conn) {
+  if (!(events & (EPOLLIN | EPOLLERR | EPOLLHUP))) return;
+  // Read while the step wants bytes: a dispatch parks the rest in the
+  // kernel until its answer is written.
   char chunk[16384];
-  while (true) {
+  while (conn->interest == http::Interest::kRead) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      // Lingering connections only drain; everything else accumulates.
-      if (conn->state != Connection::State::kLingering) {
-        conn->in.append(chunk, static_cast<size_t>(n));
-      }
-      continue;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {  // EOF, or a hard error: the peer is gone either way
+      Drive(conn, {http::Event::kPeerEof});
+      return;
     }
-    if (n == 0) {
-      conn->peer_eof = true;
-      break;
+    if (!Drive(conn, {http::Event::kBytes,
+                      std::string_view(chunk, static_cast<size_t>(n))})) {
+      return;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    conn->peer_eof = true;  // hard error: treat as gone
-    break;
-  }
-  if (conn->state == Connection::State::kLingering && conn->peer_eof) {
-    CloseConnection(conn);
   }
 }
 
-void HttpServer::ProcessInput(Connection* conn) {
-  // Pump: parse and dispatch as many buffered requests as possible
-  // until the connection blocks (needs bytes, awaits a worker, hits
-  // write backpressure) or closes. Iterative on purpose — a buffer full
-  // of pipelined requests must not recurse once per request.
-  const uint64_t conn_id = conn->id;
-  while (true) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    Connection* c = it->second.get();
-    if (c->state != Connection::State::kReading) return;
-
-    if (!c->saw_request_byte) {
-      if (c->in.empty()) {
-        if (c->peer_eof) CloseConnection(c);
-        return;  // idle: keep-alive timer stays armed
+bool HttpServer::Drive(Connection* conn, http::Event event) {
+  const Clock::time_point now = Clock::now();
+  for (std::optional<http::Event> next = std::move(event); next;) {
+    actions_.clear();
+    http::Step(limits_, &conn->state, *std::move(next), now, &actions_);
+    next.reset();
+    for (http::Action& action : actions_) {
+      switch (action.kind) {
+        case http::Action::kInterest:
+          conn->interest = action.interest;
+          break;
+        case http::Action::kArm:
+          wheel_->Arm(conn->id, action.at);
+          break;
+        case http::Action::kDisarm:
+          wheel_->Disarm(conn->id);
+          break;
+        case http::Action::kCount: {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++(stats_.*kStepCounters[static_cast<int>(action.counter)]);
+          break;
+        }
+        case http::Action::kHalfClose:
+          ::shutdown(conn->fd, SHUT_WR);
+          break;
+        case http::Action::kClose:
+          CloseConnection(conn);
+          return false;
+        case http::Action::kWrite:
+          conn->out = std::move(action.bytes);
+          conn->out_off = 0;
+          next = Flush(conn);
+          break;
+        case http::Action::kDispatch:
+          next = Dispatch(conn, std::move(action.request));
+          break;
       }
-      // The per-request deadline starts at the request's first byte.
-      c->saw_request_byte = true;
-      c->request_deadline = DeadlineAfter(options_.request_deadline_seconds);
-      wheel_->Arm(c->id, c->request_deadline);
     }
-
-    if (c->head_bytes == 0) {
-      const http::Framing framing =
-          http::ParseRequestHead(c->in, options_.max_header_bytes,
-                                 options_.max_body_bytes, &c->request);
-      if (framing.need_more()) {
-        if (c->peer_eof) CloseConnection(c);  // EOF mid-head
-        return;                               // need more bytes
-      }
-      if (const http::WireError* error = framing.error) {
-        ErrorClose(c,
-                   JsonErrorResponse(error->status, error->code,
-                                     error->message),
-                   &Stats::parse_errors);
-        return;
-      }
-      c->head_bytes = framing.head_bytes;
-      c->content_length = framing.body_bytes;
-    }
-
-    const size_t total = c->head_bytes + c->content_length;
-    if (c->in.size() < total) {
-      if (c->peer_eof) CloseConnection(c);  // EOF mid-body
-      return;                               // need more bytes
-    }
-
-    // One complete request: consume exactly its bytes. Surplus bytes
-    // (HTTP pipelining) stay in the buffer and are parsed after this
-    // request's response flushes — their deadline starts then.
-    c->request.body = c->in.substr(c->head_bytes, c->content_length);
-    c->in.erase(0, total);
-    c->request.deadline = c->request_deadline;
-    c->saw_request_byte = false;
-    c->head_bytes = 0;
-    wheel_->Disarm(c->id);
-    DispatchRequest(c);
-    // If the dispatch answered synchronously (QoS rejection flushed in
-    // one send) the connection is back to kReading: keep pumping.
   }
+  constexpr uint32_t kEpollEvents[] = {0, EPOLLIN, EPOLLOUT};  // by Interest
+  UpdateEpoll(conn, kEpollEvents[static_cast<int>(conn->interest)]);
+  return true;
 }
 
-void HttpServer::DispatchRequest(Connection* conn) {
-  HttpRequest request = std::move(conn->request);
-  conn->request = HttpRequest();
-
+std::optional<http::Event> HttpServer::Dispatch(Connection* conn,
+                                                HttpRequest request) {
   bool client_close = false;
   if (const std::string* h = request.FindHeader("connection")) {
     if (::strcasecmp(h->c_str(), "close") == 0) client_close = true;
@@ -434,13 +384,11 @@ void HttpServer::DispatchRequest(Connection* conn) {
     }
   }
   if (!admit) {
-    HttpResponse rejected = JsonErrorResponse(
-        429, "overloaded", "server at max in-flight requests");
-    rejected.headers.emplace_back("Retry-After", "1");
     // Asynchronous write + lingering close: a flood of rejected clients
     // costs the loop one buffered send each, never a blocking write.
-    ErrorClose(conn, rejected, nullptr);
-    return;
+    return Answer(RetryLater(429, "overloaded",
+                             "server at max in-flight requests"),
+                  http::Then::kLinger);
   }
 
   // Per-tenant QoS. Throttled/over-quota answers keep the connection
@@ -462,18 +410,13 @@ void HttpServer::DispatchRequest(Connection* conn) {
         ++stats_.tenant_over_quota;
       }
     }
-    HttpResponse limited =
-        throttled ? JsonErrorResponse(429, "tenant_throttled",
-                                      "tenant rate limit exceeded")
-                  : JsonErrorResponse(429, "tenant_over_quota",
-                                      "tenant concurrency quota exhausted");
-    limited.headers.emplace_back("Retry-After", "1");
-    const bool keep_alive =
-        !client_close && !draining_.load(std::memory_order_acquire);
-    conn->count_served_on_flush = false;
-    StartWrite(conn, http::SerializeResponse(limited, keep_alive),
-               keep_alive);
-    return;
+    return Answer(throttled ? RetryLater(429, "tenant_throttled",
+                                         "tenant rate limit exceeded")
+                            : RetryLater(429, "tenant_over_quota",
+                                         "tenant concurrency quota exhausted"),
+                  client_close || draining_.load(std::memory_order_acquire)
+                      ? http::Then::kClose
+                      : http::Then::kKeep);
   }
 
   bool is_batch = false;
@@ -481,16 +424,20 @@ void HttpServer::DispatchRequest(Connection* conn) {
     if (::strcasecmp(h->c_str(), "batch") == 0) is_batch = true;
   }
 
-  conn->state = Connection::State::kDispatched;
-  UpdateEpoll(conn, 0);  // park the socket until the response is ready
-  wheel_->Disarm(conn->id);
-
   sched::Job job;
   job.cls = is_batch ? sched::JobClass::kBatch : sched::JobClass::kInteractive;
   job.deadline = request.deadline;
   const uint64_t id = conn->id;
-  job.run = [this, id, request = std::move(request), client_close, is_batch,
-             tenant]() {
+  // Close after the answer when the client asked to, or when the server
+  // is draining (so clients re-connect elsewhere).
+  const auto answered = [this, id, client_close, tenant](bool shed) {
+    Completion done{id, tenant, shed, {}};
+    done.reply.then = client_close || draining_.load(std::memory_order_acquire)
+                          ? http::Then::kClose
+                          : http::Then::kKeep;
+    return done;
+  };
+  job.run = [this, request = std::move(request), is_batch, answered]() {
     HttpResponse response;
     try {
       response = handler_(request);
@@ -509,42 +456,30 @@ void HttpServer::DispatchRequest(Connection* conn) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.worker_exceptions;
     }
-    Completion done;
-    done.conn_id = id;
-    done.count_served = true;
-    done.batch = is_batch;
-    done.tenant = tenant;
-    done.tenant_charged = true;
-    // Close after this response when the client asked to, or when the
-    // server is draining (so clients re-connect elsewhere).
-    done.keep_alive =
-        !draining_.load(std::memory_order_acquire) && !client_close;
+    Completion done = answered(/*shed=*/false);
+    done.reply.served =
+        is_batch ? http::Served::kBatch : http::Served::kInteractive;
     // The write failpoint is evaluated here on the worker: a delay
     // action stalls this request without stalling the event loop, and
     // an error action drops the response as if the peer vanished.
     if (!MaybeFailpoint("net.write").ok()) {
-      done.drop = true;
+      done.reply.drop = true;
     } else {
-      done.bytes = http::SerializeResponse(response, done.keep_alive);
+      done.reply.bytes = http::SerializeResponse(
+          response, done.reply.then == http::Then::kKeep);
     }
     PushCompletion(std::move(done));
   };
-  job.shed = [this, id, client_close, is_batch, tenant]() {
-    Completion done;
-    done.conn_id = id;
-    done.shed = true;
-    done.batch = is_batch;
-    done.tenant = tenant;
-    done.tenant_charged = true;
-    done.keep_alive =
-        !draining_.load(std::memory_order_acquire) && !client_close;
-    HttpResponse shed_response = JsonErrorResponse(
-        503, "overloaded_shed", "request shed under load; retry later");
-    shed_response.headers.emplace_back("Retry-After", "1");
-    done.bytes = http::SerializeResponse(shed_response, done.keep_alive);
+  job.shed = [this, answered]() {
+    Completion done = answered(/*shed=*/true);
+    done.reply.bytes = http::SerializeResponse(
+        RetryLater(503, "overloaded_shed",
+                   "request shed under load; retry later"),
+        done.reply.then == http::Then::kKeep);
     PushCompletion(std::move(done));
   };
   scheduler_->Submit(std::move(job));
+  return std::nullopt;
 }
 
 void HttpServer::HandleCompletion(Completion completion) {
@@ -553,55 +488,14 @@ void HttpServer::HandleCompletion(Completion completion) {
     if (stats_.inflight > 0) --stats_.inflight;
     if (completion.shed) ++stats_.requests_shed;
   }
-  if (completion.tenant_charged) governor_->Release(completion.tenant);
-
+  governor_->Release(completion.tenant);
   auto it = conns_.find(completion.conn_id);
   if (it == conns_.end()) return;  // connection died while the job ran
-  Connection* conn = it->second.get();
-  if (completion.drop) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.write_failures;
-    }
-    CloseConnection(conn);
-    return;
-  }
-  conn->count_served_on_flush = completion.count_served;
-  conn->batch_on_flush = completion.batch;
-  StartWrite(conn, std::move(completion.bytes), completion.keep_alive);
-  // The write may have flushed synchronously; resume parsing any
-  // pipelined bytes already buffered.
-  it = conns_.find(completion.conn_id);
-  if (it != conns_.end() &&
-      it->second->state == Connection::State::kReading) {
-    ProcessInput(it->second.get());
-  }
+  Drive(it->second.get(),
+        {http::Event::kCompletion, {}, std::move(completion.reply)});
 }
 
-void HttpServer::ErrorClose(Connection* conn, const HttpResponse& response,
-                            uint64_t Stats::*counter) {
-  if (counter != nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++(stats_.*counter);
-  }
-  conn->linger_on_close = true;
-  conn->count_served_on_flush = false;
-  conn->batch_on_flush = false;
-  StartWrite(conn, http::SerializeResponse(response, false),
-             /*keep_alive=*/false);
-}
-
-void HttpServer::StartWrite(Connection* conn, std::string bytes,
-                            bool keep_alive) {
-  conn->out = std::move(bytes);
-  conn->out_off = 0;
-  conn->close_after_write = !keep_alive;
-  conn->state = Connection::State::kWriting;
-  wheel_->Arm(conn->id, DeadlineAfter(options_.request_deadline_seconds));
-  ContinueWrite(conn);
-}
-
-void HttpServer::ContinueWrite(Connection* conn) {
+std::optional<http::Event> HttpServer::Flush(Connection* conn) {
   while (conn->out_off < conn->out.size()) {
     const ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_off,
                              conn->out.size() - conn->out_off, MSG_NOSIGNAL);
@@ -611,91 +505,17 @@ void HttpServer::ContinueWrite(Connection* conn) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UpdateEpoll(conn, EPOLLOUT);  // flush resumes on writability
-      return;
+      return std::nullopt;  // write interest resumes the flush
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.write_failures;
-    }
-    CloseConnection(conn);
-    return;
+    return http::Event{http::Event::kWriteFailed};
   }
-  FinishWrite(conn);
-}
-
-void HttpServer::FinishWrite(Connection* conn) {
-  if (conn->count_served_on_flush) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests_served;
-    if (conn->batch_on_flush) ++stats_.batch_served;
-  }
-  conn->count_served_on_flush = false;
-  conn->batch_on_flush = false;
   conn->out.clear();
-  conn->out_off = 0;
-  if (conn->close_after_write || draining_.load(std::memory_order_acquire)) {
-    if (conn->linger_on_close && !conn->peer_eof) {
-      BeginLinger(conn);
-    } else {
-      CloseConnection(conn);
-    }
-    return;
-  }
-  conn->state = Connection::State::kReading;
-  UpdateEpoll(conn, EPOLLIN);
-  wheel_->Arm(conn->id, DeadlineAfter(options_.idle_timeout_seconds));
-  // Pipelined bytes already buffered are pumped by the caller.
-}
-
-void HttpServer::BeginLinger(Connection* conn) {
-  // The peer may still be sending (we rejected before reading it all).
-  // close() with unread bytes in the receive queue provokes an RST that
-  // can discard the just-written response before the client reads it,
-  // so half-close our side and drain theirs briefly instead.
-  ::shutdown(conn->fd, SHUT_WR);
-  conn->state = Connection::State::kLingering;
-  UpdateEpoll(conn, EPOLLIN);
-  wheel_->Arm(conn->id, DeadlineAfter(kLingerSeconds));
-}
-
-void HttpServer::OnTimer(uint64_t id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  Connection* conn = it->second.get();
-  switch (conn->state) {
-    case Connection::State::kReading:
-      if (!conn->saw_request_byte) {
-        CloseConnection(conn);  // idle keep-alive timeout
-        return;
-      }
-      ErrorClose(conn,
-                 JsonErrorResponse(408, "deadline_exceeded",
-                                   conn->head_bytes > 0
-                                       ? "request body not received in time"
-                                       : "request not received in time"),
-                 &Stats::request_timeouts);
-      return;
-    case Connection::State::kWriting: {
-      // Write deadline: the peer is too slow to take the response.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.write_failures;
-      }
-      CloseConnection(conn);
-      return;
-    }
-    case Connection::State::kLingering:
-      CloseConnection(conn);
-      return;
-    case Connection::State::kDispatched:
-      return;  // no timer runs while a worker owns the request
-  }
+  return http::Event{http::Event::kFlushed};
 }
 
 void HttpServer::CloseConnection(Connection* conn) {
   wheel_->Disarm(conn->id);
-  if (conn->registered) {
+  if (conn->events != 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   }
   ::close(conn->fd);
@@ -707,22 +527,15 @@ void HttpServer::CloseConnection(Connection* conn) {
 }
 
 void HttpServer::UpdateEpoll(Connection* conn, uint32_t events) {
+  if (events == conn->events) return;
   if (events == 0) {
-    if (conn->registered) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-      conn->registered = false;
-    }
-    conn->events = 0;
-    return;
-  }
-  epoll_event ev{};
-  ev.events = events;  // level-triggered
-  ev.data.u64 = conn->id;
-  if (!conn->registered) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->fd, &ev);
-    conn->registered = true;
-  } else if (conn->events != events) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  } else {
+    epoll_event ev{};
+    ev.events = events;  // level-triggered
+    ev.data.u64 = conn->id;
+    ::epoll_ctl(epoll_fd_, conn->events == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD,
+                conn->fd, &ev);
   }
   conn->events = events;
 }

@@ -4,41 +4,37 @@
 /// \file
 /// \brief A dependency-free HTTP/1.1 server over POSIX sockets.
 ///
-/// Architecture: a single epoll-driven event loop owns the listening
-/// socket and every connection — nonblocking accept/read/write state
-/// machines with per-connection buffers and a hashed timer wheel for
-/// idle timeouts, request deadlines, and write deadlines. Complete
-/// requests are handed to a two-class PriorityScheduler (interactive
-/// vs. batch by request header, earliest-deadline-first within a
-/// class); workers run the handler and post the serialized response
-/// back to the loop over an eventfd, so no thread ever blocks on a
-/// socket.
+/// One epoll event loop owns the listener and every connection. The pure
+/// step function in net/conn_step.h decides what each connection does
+/// next; the loop carries out its actions with nonblocking reads and
+/// writes and a hashed timer wheel. Complete requests go to a two-class
+/// PriorityScheduler (interactive vs. batch by request header,
+/// earliest-deadline-first within a class); workers run the handler and
+/// post the serialized response back over an eventfd, so no thread ever
+/// blocks on a socket.
 ///
-/// Admission control counts in-flight *requests*, not connections:
-/// past `max_inflight` concurrently dispatched requests the loop
-/// answers `429 Too Many Requests` — written asynchronously like any
-/// other response, so a flood of rejected clients cannot stall accept.
-/// Idle keep-alive connections hold no admission slot. Per-tenant QoS
-/// (token-bucket rate limits and concurrency quotas keyed off a tenant
-/// header) rejects before dispatch, and an optional ready-queue bound
-/// load-sheds the cheapest queued batch work first (503). Each request
-/// is read under a deadline (`408` on expiry), and `Shutdown()`
-/// performs a graceful drain: accepting stops, idle keep-alive
-/// connections are closed, and every request whose bytes have started
-/// arriving is served to completion before the call returns.
+/// Admission control counts in-flight *requests*, not connections: past
+/// `max_inflight` dispatched requests the loop answers 429, written
+/// asynchronously like any other response, so a flood of rejected
+/// clients cannot stall accept. Per-tenant QoS (token buckets and
+/// concurrency quotas keyed off a tenant header) rejects before dispatch,
+/// and an optional ready-queue bound sheds queued batch work (503).
+/// `Shutdown()` drains gracefully: accepting stops, idle keep-alive
+/// connections close, and every request whose bytes have started
+/// arriving is served before the call returns.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "net/conn_step.h"
 #include "net/http_wire.h"
 #include "sched/priority_scheduler.h"
 #include "sched/tenant_governor.h"
@@ -46,11 +42,6 @@
 #include "util/status.h"
 
 namespace surf {
-
-/// Builds a JSON error response `{"error": {"code": ..., "message": ...}}`
-/// with the given HTTP status.
-HttpResponse JsonErrorResponse(int status_code, const std::string& code,
-                               const std::string& message);
 
 /// \brief Application callback: one request in, one response out.
 /// Invoked concurrently from worker threads; must be thread-safe.
@@ -78,9 +69,12 @@ class HttpServer {
     size_t max_inflight = 64;
     /// listen(2) backlog.
     int accept_backlog = 128;
-    /// Per-request deadline: reading one full request (and writing its
-    /// response) must finish within this budget or the connection is
-    /// answered 408 and closed.
+    /// Per-request budget, spent twice. Reading: from the request's first
+    /// byte, the whole request must arrive in time, or it is answered 408
+    /// (counted in request_timeouts) and the connection closes. Writing:
+    /// from the moment the response is ready, it must leave in time, or
+    /// the connection is dropped without a 408 (counted in
+    /// write_failures).
     double request_deadline_seconds = 30.0;
     /// Idle keep-alive connections are closed after this long without a
     /// new request.
@@ -174,15 +168,9 @@ class HttpServer {
   /// A finished unit of worker-side work handed back to the loop.
   struct Completion {
     uint64_t conn_id = 0;
-    std::string bytes;       ///< Serialized response ("" with drop).
-    bool keep_alive = true;  ///< Connection stays open after the write.
-    bool drop = false;       ///< Injected write fault: drop the peer.
-    bool count_served = false;  ///< Bump requests_served on full flush.
-    bool batch = false;
-    bool shed = false;  ///< Load-shed answer (counts requests_shed).
-    bool end_request = true;  ///< Releases the admission + tenant slot.
-    std::string tenant;
-    bool tenant_charged = false;
+    std::string tenant;  ///< Releases this tenant's governor slot.
+    bool shed = false;   ///< Load-shed answer (counts requests_shed).
+    http::Reply reply;
   };
 
   void RunLoop();
@@ -191,23 +179,19 @@ class HttpServer {
   void HandleCompletion(Completion completion);
   void AcceptReady();
   void HandleConnectionEvent(uint64_t id, uint32_t events);
-  void ReadAvailable(Connection* conn);
-  void ProcessInput(Connection* conn);
-  void DispatchRequest(Connection* conn);
-  /// Queues an error response and closes (via lingering half-close)
-  /// after it is flushed; bumps `*counter` when non-null.
-  void ErrorClose(Connection* conn, const HttpResponse& response,
-                  uint64_t Stats::*counter);
-  void StartWrite(Connection* conn, std::string bytes, bool keep_alive);
-  void ContinueWrite(Connection* conn);
-  void FinishWrite(Connection* conn);
-  void BeginLinger(Connection* conn);
-  void OnTimer(uint64_t id);
+  /// Steps `conn` through `event` and every event its actions answer at
+  /// once; false once the connection is closed and freed.
+  bool Drive(Connection* conn, http::Event event);
+  /// Admission, tenant QoS, then the scheduler; a 429 comes back at once.
+  std::optional<http::Event> Dispatch(Connection* conn, HttpRequest request);
+  /// Sends what is left of the answer; nothing while the socket is full.
+  std::optional<http::Event> Flush(Connection* conn);
   void CloseConnection(Connection* conn);
   void UpdateEpoll(Connection* conn, uint32_t events);
 
   Options options_;
   HttpHandler handler_;
+  http::Limits limits_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -224,9 +208,9 @@ class HttpServer {
   /// Loop-thread-only state (no lock: only RunLoop touches it).
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake eventfd
+  std::vector<http::Action> actions_;  ///< Drive's scratch list.
 
   mutable std::mutex mu_;
-  std::condition_variable drained_cv_;
   Stats stats_;
 
   std::mutex completions_mu_;

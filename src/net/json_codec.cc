@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "api/api.h"
+#include "data/sharded.h"
 
 namespace surf {
 
@@ -713,8 +714,13 @@ constexpr auto kFields<ShardRequest> = std::tuple{
       [](const ShardRequest& r) { return RequireRegionCols(r.statistic); }),
     F("num_shards", &ShardRequest::num_shards,
       [](const ShardRequest& r) {
-        return r.num_shards == 0
-                   ? Status::InvalidArgument("num_shards must be >= 1")
+        if (r.num_shards == 0) {
+          return Status::InvalidArgument("num_shards must be >= 1");
+        }
+        return r.num_shards > ShardingOptions::kMaxShards
+                   ? Status::InvalidArgument(
+                         "num_shards must be <= " +
+                         std::to_string(ShardingOptions::kMaxShards))
                    : Status::OK();
       }),
     F<ColumnOrNone>("order_by", &ShardRequest::order_by),

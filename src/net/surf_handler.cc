@@ -595,11 +595,6 @@ HttpResponse SurfHandler::HandleShardEvaluate(const HttpRequest& request,
         "' fingerprint mismatch: this worker holds different data "
         "than the coordinator expects"));
   }
-  if (decoded->num_shards > ShardingOptions::kMaxShards) {
-    return StatusResponse(Status::InvalidArgument(
-        "num_shards must be <= " +
-        std::to_string(ShardingOptions::kMaxShards)));
-  }
   // order_by -1 keeps natural row order; anything else must name a
   // column.
   if (decoded->order_by < -1 ||

@@ -119,15 +119,6 @@ std::shared_ptr<MineJob> JobTable::Find(const std::string& id) const {
   return it == jobs_.end() ? nullptr : it->second.first;
 }
 
-bool JobTable::Remove(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  order_.erase(it->second.second);
-  jobs_.erase(it);
-  return true;
-}
-
 size_t JobTable::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return jobs_.size();

@@ -192,10 +192,6 @@ class JobTable {
   /// The job registered under `id`, or null.
   std::shared_ptr<MineJob> Find(const std::string& id) const;
 
-  /// Drops the table's reference to `id` (outstanding handles stay
-  /// valid). Returns whether the id existed.
-  bool Remove(const std::string& id);
-
   /// Registered jobs (live + retained finished).
   size_t size() const;
 

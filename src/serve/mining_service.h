@@ -140,7 +140,7 @@ class MiningService {
   /// Cache-key derivation for a request (exposed for tests/tools).
   StatusOr<SurrogateKey> KeyFor(const v2::MineRequest& request) const;
 
-  /// The surrogate cache (for stats, Peek, Clear).
+  /// The surrogate cache (for stats, Peek and Retry-After hints).
   SurrogateCache& cache() { return cache_; }
   /// Read-only view of the surrogate cache.
   const SurrogateCache& cache() const { return cache_; }

@@ -421,13 +421,6 @@ std::shared_ptr<CachedSurrogate> SurrogateCache::Peek(
   return it == map_.end() ? nullptr : it->second.entry;
 }
 
-void SurrogateCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
-  failures_.clear();
-}
-
 size_t SurrogateCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();

@@ -235,9 +235,6 @@ class SurrogateCache {
   /// negative-cache TTL, else 1.
   int RetryAfterSeconds(const SurrogateKey& key) const;
 
-  /// Drops every entry (outstanding snapshots stay valid).
-  void Clear();
-
   /// Resident entry count (including in-flight trainings).
   size_t size() const;
   /// Counter snapshot.

@@ -282,7 +282,7 @@ TEST_F(JobsTest, CancelledWaitersObserveCancelled) {
 
 // --------------------------------------------------------------- JobTable
 
-TEST(JobTableTest, AddFindRemoveAndRetention) {
+TEST(JobTableTest, AddFindAndRetention) {
   SyntheticDataset ds = DensityData(2, 1);
   MiningService::Options options;
   options.num_threads = 2;
@@ -307,10 +307,6 @@ TEST(JobTableTest, AddFindRemoveAndRetention) {
   EXPECT_NE(table.Find(ids[3]), nullptr);
   // Eviction never invalidates an outstanding handle.
   EXPECT_TRUE(jobs[0]->done());
-
-  EXPECT_TRUE(table.Remove(ids[3]));
-  EXPECT_FALSE(table.Remove(ids[3]));
-  EXPECT_EQ(table.Find(ids[3]), nullptr);
 }
 
 TEST(JobTableTest, AgeCapEvictsOldFinishedJobsAndCountsEvictions) {

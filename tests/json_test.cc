@@ -1139,6 +1139,7 @@ std::vector<std::string> MoreShardRequests() {
           "num_shards": 0, "order_by": "x"})",
       R"({"dataset": "d", "statistic": {"region_cols": [0]},
           "shards": [], "queries": 3})",
+      MutatedShardRequest("num_shards", "4097"),
   };
 }
 

@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,10 +21,12 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "net/conn_step.h"
 #include "net/http_server.h"
 #include "net/json_codec.h"
 #include "net/metrics.h"
@@ -2229,6 +2233,531 @@ TEST(HttpWireTest, SeededMutationsStayPrefixStable) {
       ExpectPrefixStable(bytes, FrameCorpusRequest, 16, &rng);
     }
   }
+}
+
+// ------------------------------------------ connection step explorer
+//
+// http::Step is pure, so the event loop itself can be checked without
+// sockets or sleeps. StepWorld stands in for HttpServer, the kernel and
+// the handler: it reads while the step wants bytes, lets a write flush
+// at once, block until the next event, or fail, and echoes each request
+// at once or one event late. After every step it checks the invariants
+// of the state machine.
+
+/// What happens at a piece boundary.
+enum class Boundary {
+  kNone, kTimer, kPeerEof, kDrain, kWriteBlocked, kWriteFailed
+};
+constexpr Boundary kBoundaries[] = {
+    Boundary::kNone,  Boundary::kTimer,        Boundary::kPeerEof,
+    Boundary::kDrain, Boundary::kWriteBlocked, Boundary::kWriteFailed};
+
+constexpr int kCounters = 5;  // http::Counter values
+const http::Limits kStepLimits{kCorpusMaxHead, kCorpusMaxBody,
+                               std::chrono::seconds(30),
+                               std::chrono::seconds(60)};
+
+/// The requests the wire module reads from `bytes`, in pipeline order;
+/// `*rest` is what follows them.
+std::vector<HttpRequest> FramedRequests(std::string_view bytes,
+                                        std::string_view* rest = nullptr) {
+  std::vector<HttpRequest> requests;
+  while (true) {
+    HttpRequest request;
+    const http::Framing framing = http::ParseRequestHead(
+        bytes, kCorpusMaxHead, kCorpusMaxBody, &request);
+    if (framing.error != nullptr || framing.need_more() ||
+        bytes.size() < framing.size()) {
+      if (rest != nullptr) *rest = bytes;
+      return requests;
+    }
+    request.body = bytes.substr(framing.head_bytes, framing.body_bytes);
+    requests.push_back(std::move(request));
+    bytes.remove_prefix(framing.size());
+  }
+}
+
+bool SameRequest(const HttpRequest& a, const HttpRequest& b) {
+  return a.method == b.method && a.target == b.target &&
+         a.headers == b.headers && a.body == b.body;
+}
+
+int StatusOf(const std::string& response) {
+  int status = 0;
+  HttpHeaders headers;
+  http::ParseResponseHead(response, &status, &headers);
+  return status;
+}
+
+class StepWorld {
+ public:
+  StepWorld(int error_status, bool late_completions)
+      : error_status_(error_status), late_(late_completions) {
+    Apply({http::Event::kOpen});
+  }
+
+  /// The peer sends `bytes` (unless it has half-closed).
+  void Send(std::string_view bytes) {
+    External([&] {
+      if (eof_sent_) return;
+      kernel_.append(bytes);
+      Read();
+    });
+  }
+
+  void At(Boundary boundary) {
+    External([&] {
+      switch (boundary) {
+        case Boundary::kNone:
+          return;
+        case Boundary::kTimer:
+          return FireTimer();
+        case Boundary::kPeerEof:
+          eof_sent_ = true;
+          return Read();
+        case Boundary::kDrain:
+          return Drain();
+        case Boundary::kWriteBlocked:
+          block_next_write_ = true;
+          return;
+        case Boundary::kWriteFailed:
+          if (write_pending_) return EndWrite(false);
+          fail_next_write_ = true;
+          return;
+      }
+    });
+  }
+
+  /// Delivers what is pending, drains, then runs the clock of an idle
+  /// peer: every run must reach close, and a closed connection must
+  /// ignore anything more.
+  void Finish() {
+    for (int i = 0; !closed_ && i < 64; ++i) {
+      if (completion_.has_value()) {
+        Complete();
+      } else if (write_pending_) {
+        EndWrite(true);
+      } else if (!draining_) {
+        Drain();
+      } else if (timer_.has_value()) {
+        FireTimer();
+      } else {
+        break;
+      }
+    }
+    ASSERT_TRUE(closed_) << "drain never ended";
+    EXPECT_FALSE(awaiting_reply_) << "a dispatched request got no write";
+    for (http::Event::Kind kind : {http::Event::kTimer, http::Event::kBytes}) {
+      std::vector<http::Action> actions;
+      http::Step(kStepLimits, &conn_, {kind, "GET / HTTP/1.1\r\n\r\n"}, now_,
+                 &actions);
+      EXPECT_TRUE(actions.empty()) << "acted after close";
+    }
+  }
+
+  const std::vector<HttpRequest>& dispatched() const { return dispatched_; }
+  const std::string& written() const { return written_; }
+  const std::vector<int>& statuses() const { return statuses_; }
+
+ private:
+  /// An outside event: the clock moves, and a late completion or a
+  /// blocked write pending before it is delivered after it.
+  template <typename F>
+  void External(F event) {
+    if (closed_) return;
+    now_ += std::chrono::milliseconds(1);
+    const bool completion_due = completion_.has_value();
+    const bool write_due = write_pending_;
+    event();
+    if (completion_due && completion_.has_value() && !closed_) Complete();
+    if (write_due && write_pending_ && !closed_) EndWrite(true);
+  }
+
+  void Read() {
+    if (closed_ || interest_ != http::Interest::kRead) return;
+    if (!kernel_.empty()) {
+      const std::string bytes = std::exchange(kernel_, std::string());
+      Apply({http::Event::kBytes, bytes});
+    }
+    if (eof_sent_ && !eof_read_ && kernel_.empty() && !closed_ &&
+        interest_ == http::Interest::kRead) {
+      eof_read_ = true;
+      Apply({http::Event::kPeerEof});
+    }
+  }
+
+  void FireTimer() {
+    if (!timer_.has_value()) return;
+    now_ = timer_->second;
+    timer_.reset();  // the wheel consumes a fired registration
+    Apply({http::Event::kTimer});
+  }
+
+  void Drain() {
+    if (draining_) return;
+    draining_ = true;
+    // Only a request already arriving is still served.
+    may_dispatch_ = conn_.phase == http::Phase::kReading;
+    Apply({http::Event::kDrain});
+  }
+
+  void Complete() {
+    http::Reply reply = std::move(*completion_);
+    completion_.reset();
+    Apply({http::Event::kCompletion, {}, std::move(reply)});
+  }
+
+  void EndWrite(bool flushed) {
+    write_pending_ = false;
+    if (flushed) written_ += write_bytes_;
+    Apply({flushed ? http::Event::kFlushed : http::Event::kWriteFailed});
+  }
+
+  /// The handler: echo the request, closing when asked or draining.
+  http::Reply Echo(const HttpRequest& request) const {
+    HttpResponse echo;
+    echo.body = request.method + " " + request.target + " " + request.body;
+    const std::string* connection = request.FindHeader("connection");
+    const bool keep = !draining_ && (connection == nullptr ||
+                                     ::strcasecmp(connection->c_str(),
+                                                  "close") != 0);
+    return {http::SerializeResponse(echo, keep),
+            keep ? http::Then::kKeep : http::Then::kClose,
+            http::Served::kInteractive};
+  }
+
+  void Apply(http::Event event) {
+    ASSERT_FALSE(closed_) << "stepped after close";
+    const http::Phase before = conn_.phase;
+    const http::Event::Kind kind = event.kind;
+    std::vector<http::Action> actions;
+    actions.reserve(8);
+    http::Step(kStepLimits, &conn_, std::move(event), now_, &actions);
+
+    // Counters this step must bump, by http::Counter.
+    int expected[kCounters] = {};
+    if (before == http::Phase::kWriting &&
+        (kind == http::Event::kWriteFailed || kind == http::Event::kTimer)) {
+      ++expected[static_cast<int>(http::Counter::kWriteFailures)];
+    }
+    if (before == http::Phase::kWriting && kind == http::Event::kFlushed &&
+        write_is_reply_) {
+      ++expected[static_cast<int>(http::Counter::kRequestsServed)];
+    }
+    int counted[kCounters] = {};
+    bool head_parsed = before == http::Phase::kReading &&
+                       conn_.phase == http::Phase::kWriting &&
+                       kind == http::Event::kTimer;
+    if (head_parsed) {
+      HttpRequest scratch;
+      head_parsed = http::ParseRequestHead(conn_.in, kCorpusMaxHead,
+                                           kCorpusMaxBody, &scratch)
+                        .head_bytes > 0;
+    }
+
+    for (size_t i = 0; i < actions.size(); ++i) {
+      http::Action& action = actions[i];
+      const bool last = i + 1 == actions.size();
+      switch (action.kind) {
+        case http::Action::kInterest:
+          interest_ = action.interest;
+          break;
+        case http::Action::kArm: {
+          const auto budget = action.timer == http::Timer::kIdle
+                                  ? kStepLimits.idle_timeout
+                              : action.timer == http::Timer::kLinger
+                                  ? http::kLinger
+                                  : kStepLimits.request_budget;
+          EXPECT_EQ(action.at, now_ + budget) << "timer " << int(action.timer);
+          if (action.timer == http::Timer::kRequest) {
+            // The request deadline runs from the request's first byte.
+            EXPECT_NE(before, http::Phase::kReading) << "deadline re-armed";
+            request_deadline_ = action.at;
+          }
+          timer_.emplace(action.timer, action.at);
+          break;
+        }
+        case http::Action::kDisarm:
+          timer_.reset();
+          break;
+        case http::Action::kCount:
+          ++counted[static_cast<int>(action.counter)];
+          break;
+        case http::Action::kHalfClose:
+          EXPECT_FALSE(half_closed_);
+          half_closed_ = true;
+          break;
+        case http::Action::kClose:
+          EXPECT_TRUE(last) << "acted after close";
+          closed_ = true;
+          break;
+        case http::Action::kWrite: {
+          EXPECT_TRUE(last) << "write not last";
+          const int status = StatusOf(action.bytes);
+          statuses_.push_back(status);
+          write_is_reply_ = kind == http::Event::kCompletion;
+          if (write_is_reply_) {
+            EXPECT_TRUE(awaiting_reply_) << "reply without a request";
+            EXPECT_EQ(action.bytes, reply_bytes_) << "reply bytes changed";
+            awaiting_reply_ = false;
+          } else if (status == 408) {
+            // The read deadline: counted, and worded by how far it got.
+            EXPECT_TRUE(kind == http::Event::kTimer &&
+                        before == http::Phase::kReading);
+            ++expected[static_cast<int>(http::Counter::kRequestTimeouts)];
+            EXPECT_EQ(action.bytes,
+                      http::SerializeResponse(
+                          JsonErrorResponse(
+                              408, "deadline_exceeded",
+                              head_parsed ? "request body not received in time"
+                                          : "request not received in time"),
+                          false));
+          } else {
+            // A framing error answers what the live server answers.
+            EXPECT_EQ(status, error_status_) << action.bytes;
+            ++expected[static_cast<int>(http::Counter::kParseErrors)];
+          }
+          write_bytes_ = std::move(action.bytes);
+          break;
+        }
+        case http::Action::kDispatch:
+          EXPECT_TRUE(last) << "dispatch not last";
+          EXPECT_FALSE(awaiting_reply_) << "dispatched twice";
+          EXPECT_TRUE(may_dispatch_) << "dispatched after the drain";
+          may_dispatch_ = !draining_;
+          EXPECT_EQ(action.request.deadline, request_deadline_);
+          dispatched_.push_back(std::move(action.request));
+          awaiting_reply_ = true;
+          break;
+      }
+    }
+    for (int c = 0; c < kCounters; ++c) {
+      EXPECT_EQ(counted[c], expected[c]) << "counter " << c << " after event "
+                                         << kind;
+    }
+    if (closed_) {
+      EXPECT_FALSE(awaiting_reply_) << "closed with a request unanswered";
+      return;
+    }
+    // Each live phase holds its interest and exactly its timer, and no
+    // phase waits for bytes from a peer that has sent its last.
+    const http::Phase phase = conn_.phase;
+    EXPECT_FALSE(eof_read_ && (phase == http::Phase::kIdle ||
+                               phase == http::Phase::kReading))
+        << "waiting for bytes after EOF";
+    if (phase == http::Phase::kDispatched) {
+      EXPECT_EQ(interest_, http::Interest::kNone);
+      EXPECT_FALSE(timer_.has_value()) << "timer armed while dispatched";
+    } else {
+      constexpr http::Timer kTimerOf[] = {http::Timer::kIdle,
+                                          http::Timer::kRequest,
+                                          http::Timer::kIdle,
+                                          http::Timer::kWrite,
+                                          http::Timer::kLinger};
+      ASSERT_TRUE(timer_.has_value()) << "no timer in phase " << int(phase);
+      EXPECT_EQ(timer_->first, kTimerOf[static_cast<int>(phase)]);
+      EXPECT_EQ(interest_, phase == http::Phase::kWriting
+                               ? http::Interest::kWrite
+                               : http::Interest::kRead);
+    }
+
+    // Carry out the write or the dispatch, as the server would.
+    if (!actions.empty() && actions.back().kind == http::Action::kWrite) {
+      if (std::exchange(fail_next_write_, false)) {
+        EndWrite(false);
+      } else if (std::exchange(block_next_write_, false)) {
+        write_pending_ = true;
+      } else {
+        EndWrite(true);
+      }
+    } else if (!actions.empty() &&
+               actions.back().kind == http::Action::kDispatch) {
+      http::Reply reply = Echo(dispatched_.back());
+      reply_bytes_ = reply.bytes;
+      if (late_) {
+        completion_ = std::move(reply);
+      } else {
+        Apply({http::Event::kCompletion, {}, std::move(reply)});
+      }
+    }
+    Read();
+  }
+
+  const int error_status_;
+  const bool late_;
+  http::Conn conn_;
+  http::Clock::time_point now_{};
+  http::Interest interest_ = http::Interest::kNone;
+  std::optional<std::pair<http::Timer, http::Clock::time_point>> timer_;
+  http::Clock::time_point request_deadline_{};
+  std::string kernel_;  ///< Sent by the peer, not yet read.
+  bool eof_sent_ = false;
+  bool eof_read_ = false;
+  bool draining_ = false;
+  bool may_dispatch_ = true;
+  bool half_closed_ = false;
+  bool closed_ = false;
+  bool block_next_write_ = false;
+  bool fail_next_write_ = false;
+  bool write_pending_ = false;
+  bool write_is_reply_ = false;
+  std::string write_bytes_;
+  std::optional<http::Reply> completion_;
+  bool awaiting_reply_ = false;
+  std::string reply_bytes_;
+  std::vector<HttpRequest> dispatched_;
+  std::string written_;
+  std::vector<int> statuses_;
+};
+
+/// Runs `entry` cut at `ends` (each piece's end offset) with `after[i]`
+/// at the boundary after piece i.
+StepWorld RunScript(const WireEntry& entry, const std::vector<size_t>& ends,
+                    const std::vector<Boundary>& after, bool late) {
+  StepWorld world(entry.status, late);
+  size_t from = 0;
+  for (size_t i = 0; i < ends.size(); ++i) {
+    world.Send(std::string_view(entry.bytes).substr(from, ends[i] - from));
+    world.At(after[i]);
+    from = ends[i];
+  }
+  world.Finish();
+  return world;
+}
+
+/// Where the explorer cuts an entry. Prefixes the wire module reads the
+/// same way (requests framed, and the rest's framing) form runs; a cut is
+/// any offset of a run up to 32 long and the first and last 16 of a
+/// longer one. Decisive cuts sit on both sides of a change of reading
+/// (the last byte of a head, of a body, or of an error), and at the ends.
+struct Cuts {
+  std::vector<size_t> all;
+  std::set<size_t> decisive;
+};
+
+Cuts CutsOf(const std::string& bytes) {
+  const auto reading = [&](size_t k) {
+    std::string_view rest;
+    const size_t framed =
+        FramedRequests(std::string_view(bytes).substr(0, k), &rest).size();
+    HttpRequest head;
+    const http::Framing framing = http::ParseRequestHead(
+        rest, kCorpusMaxHead, kCorpusMaxBody, &head);
+    return std::tuple(framed, rest.empty(), framing.error, framing.head_bytes);
+  };
+  Cuts cuts;
+  cuts.decisive = {1, bytes.size() - 1};
+  size_t run_start = 1;
+  for (size_t k = 1; k < bytes.size(); ++k) {
+    if (k + 1 < bytes.size() && reading(k + 1) == reading(k)) continue;
+    for (size_t cut = run_start; cut <= k; ++cut) {
+      if (k - run_start < 32 || cut < run_start + 16 || cut + 16 > k) {
+        cuts.all.push_back(cut);
+      }
+    }
+    if (k + 1 < bytes.size()) cuts.decisive.insert({k, k + 1});
+    run_start = k + 1;
+  }
+  return cuts;
+}
+
+/// Every script of `pieces` boundary events, or those with at most one.
+std::vector<std::vector<Boundary>> Scripts(size_t pieces, bool single) {
+  std::vector<std::vector<Boundary>> scripts = {{}};
+  for (size_t i = 0; i < pieces; ++i) {
+    std::vector<std::vector<Boundary>> longer;
+    for (const auto& script : scripts) {
+      const bool quiet = std::all_of(script.begin(), script.end(), [](auto b) {
+        return b == Boundary::kNone;
+      });
+      for (const Boundary event : kBoundaries) {
+        if (single && !quiet && event != Boundary::kNone) continue;
+        longer.push_back(script);
+        longer.back().push_back(event);
+      }
+    }
+    scripts = std::move(longer);
+  }
+  return scripts;
+}
+
+// The bounded explorer. Each corpus entry is cut at CutsOf() into one,
+// two and three pieces, and byte at a time, with completions at once and
+// one event late. Boundary events: every combination when every cut is
+// decisive; otherwise at most one event for two pieces and none for
+// three; one at a time at each decisive cut of the byte-at-a-time run.
+// Every run must dispatch a prefix of the requests the wire module reads,
+// in order and byte for byte; a run whose only events are blocked writes
+// (and EOF after the last byte) must dispatch them all and write exactly
+// what the whole-buffer run writes.
+TEST(ConnStepTest, ExplorerHoldsTheInvariantsOnEveryRun) {
+  size_t runs = 0;
+  for (const WireEntry& entry : WireCorpus()) {
+    SCOPED_TRACE(entry.name);
+    const size_t n = entry.bytes.size();
+    const std::vector<HttpRequest> framed = FramedRequests(entry.bytes);
+    const StepWorld whole = RunScript(entry, {n}, {Boundary::kNone}, false);
+    ASSERT_EQ(whole.dispatched().size(), framed.size());
+    for (const int status : whole.statuses()) EXPECT_EQ(status, entry.status);
+
+    const auto run = [&](const std::vector<size_t>& ends,
+                         const std::vector<Boundary>& after) {
+      if (::testing::Test::HasFailure()) return;  // report the first run only
+      bool benign = true;
+      for (size_t i = 0; i < after.size(); ++i) {
+        benign &= after[i] == Boundary::kNone ||
+                  after[i] == Boundary::kWriteBlocked ||
+                  (after[i] == Boundary::kPeerEof && i + 1 == after.size());
+      }
+      for (const bool late : {false, true}) {
+        if (late && framed.empty()) continue;  // nothing completes
+        ++runs;
+        const StepWorld world = RunScript(entry, ends, after, late);
+        const auto& got = world.dispatched();
+        bool ok = got.size() <= framed.size() &&
+                  (!benign || (got.size() == framed.size() &&
+                               world.written() == whole.written()));
+        for (size_t r = 0; ok && r < got.size(); ++r) {
+          ok = SameRequest(got[r], framed[r]);
+        }
+        if (!ok || ::testing::Test::HasFailure()) {
+          std::string script;
+          for (const size_t end : ends) script += std::to_string(end) + " ";
+          for (const Boundary b : after) script += "e" + std::to_string(int(b));
+          FAIL() << "run " << script << (late ? " late" : "")
+                 << (ok ? "" : ": dispatched or wrote the wrong bytes");
+        }
+      }
+    };
+    const Cuts cuts = CutsOf(entry.bytes);
+    const auto all2 = Scripts(2, false), single2 = Scripts(2, true);
+    const auto all3 = Scripts(3, false);
+    for (const auto& after : Scripts(1, false)) run({n}, after);
+    for (const size_t a : cuts.all) {
+      const bool decisive = cuts.decisive.count(a) > 0;
+      for (const auto& after : decisive ? all2 : single2) run({a, n}, after);
+      for (const size_t b : cuts.all) {
+        if (b <= a) continue;
+        if (decisive && cuts.decisive.count(b)) {
+          for (const auto& after : all3) run({a, b, n}, after);
+        } else {
+          run({a, b, n}, all3[0]);  // no events
+        }
+      }
+    }
+    std::vector<size_t> bytewise;
+    for (size_t k = 1; k <= n; ++k) bytewise.push_back(k);
+    const std::vector<Boundary> quiet(n, Boundary::kNone);
+    run(bytewise, quiet);
+    for (const size_t at : cuts.decisive) {
+      for (const Boundary event : kBoundaries) {
+        std::vector<Boundary> after = quiet;
+        after[at - 1] = event;
+        run(bytewise, after);
+      }
+    }
+  }
+  std::printf("explorer: %zu runs\n", runs);
 }
 
 }  // namespace
